@@ -13,25 +13,12 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
-from shipplume.evaluation import (EmissionProxy, nested_cv, proxy_correlation,
-                                  ship_estimates)
+from shipplume.evaluation import (nested_cv, proxy_correlation, ship_estimates,
+                                  ship_proxies)
 from shipplume.pipeline import PipelineParams, build_dataset_from_scenes
 from shipplume.synth import generate_corpus
 
 FAMILIES = ("no2", "moran", "moran-high", "logistic", "gbt")
-
-
-def proxies_of(ds):
-    proxies, seen = [], set()
-    for row in ds.rows:
-        mmsi = int(row.group_id.partition("_")[0])
-        if mmsi not in seen:
-            seen.add(mmsi)
-            proxies.append(EmissionProxy(mmsi, row.features[6] ** 2
-                                         * row.features[5] ** 3))
-    return proxies
 
 
 def main(argv=None):
@@ -55,7 +42,7 @@ def main(argv=None):
     ds, counts = build_dataset_from_scenes(manifest, params)
     neg, pos = ds.class_counts
     print(f"corpus: {args.scenes} scenes, {n_ships} ships, "
-          f"{len(ds.rows)} pixels ({pos} plume / {neg} background), "
+          f"{len(ds)} pixels ({pos} plume / {neg} background), "
           f"generated in {time.time() - t0:.1f}s -> {out}")
 
     base = {"gbt": {"n_trees": args.gbt_n_trees},
@@ -73,18 +60,14 @@ def main(argv=None):
         print(f"{family:<12}" + "".join(f"{c:>16}" for c in cells)
               + f"{time.time() - t1:>7.1f}s")
 
-    proxies = proxies_of(ds)
+    proxies = ship_proxies(ds)
     print(f"\n{'model':<12}{'pearson r':>12}{'ships used':>12}{'no plume':>10}")
-    est = ship_estimates(ds, ds.labels())
+    est = ship_estimates(ds, ds.require_labels())
     used = sum(1 for e in est if e.n_plume_pixels > 0)
     r = proxy_correlation(est, proxies)
     print(f"{'truth':<12}{r:>12.3f}{used:>12}{len(est) - used:>10}")
     for family, rep in reports.items():
-        table = {(p["group_id"], p["row"], p["col"]): p["pred"]
-                 for p in rep.pooled}
-        preds = np.array([table[(row.group_id, row.row, row.col)]
-                          for row in ds.rows])
-        est = ship_estimates(ds, preds)
+        est = ship_estimates(ds, rep.predictions())
         used = sum(1 for e in est if e.n_plume_pixels > 0)
         try:
             r = proxy_correlation(est, proxies)

@@ -1,18 +1,20 @@
 """Segmentation of NO2 emission plumes of individual ships from low-resolution
 gridded rasters, with a built-in synthetic-scene generator for verification."""
 
-from .dataset import FeatureRow, LabeledDataset, assemble, select_ships
+from .dataset import LabeledDataset, assemble, select_ships
 from .enhance import QUEEN, ContiguityKernel, MoranStats, moran_enhance, moran_on_high
 from .evaluation import (CVReport, EmissionProxy, Metrics, ShipEstimate,
                          average_precision, emission_proxy, nested_cv,
-                         pr_metrics, proxy_correlation, ship_estimates)
+                         pr_metrics, proxy_correlation, ship_estimates,
+                         ship_proxies)
 from .grid import GridImage, GridSpec, PointSample, crop, quality_filter, regrid
-from .models import (GBTModel, LogisticModel, ThresholdModel, fit_gbt,
-                     fit_logistic, fit_threshold, predict_labels, predict_scores)
+from .models import (GBTModel, LogisticModel, ThresholdModel, fit_family,
+                     predict_labels, predict_scores)
 from .pipeline import PipelineParams, build_dataset_from_scenes, build_ship_images
 from .sector import NormalizedPixel, ShipSector, build_sector, normalize, pixels_in_sector
 from .synth import GroundTruth, Scene, SceneConfig, generate_corpus, generate_scene, scene_to_inputs
 from .tracks import (AISRecord, ShipInfo, Track, WindShiftedTrack, WindVector,
-                     extreme_tracks, interpolate_track, wind_shift)
+                     extreme_tracks, interpolate_track, mean_position,
+                     wind_shift)
 
 __version__ = "0.1.0"

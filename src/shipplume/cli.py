@@ -231,18 +231,18 @@ def cmd_features(cfg: dict) -> None:
     neg, pos = dataset.class_counts
     skips = sum(n for reason, n in counts.items() if reason != "ships")
     print(f"features: ships={counts.get('ships', 0)} skipped={skips} "
-          f"rows={len(dataset.rows)} positives={pos} negatives={neg} "
+          f"rows={len(dataset)} positives={pos} negatives={neg} "
           f"dropped_nonfinite={dataset.n_dropped} out={cfg['dataset-file']}")
 
 
 def cmd_train(cfg: dict) -> None:
     dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
     family = cfg["model"]
-    model = md.fit_family(family, dataset.feature_matrix(), dataset.labels(),
-                          dataset.moran_high_values(), base_params(cfg),
+    model = md.fit_family(family, dataset.X, dataset.require_labels(),
+                          dataset.moran_high, base_params(cfg),
                           seed=cfg["seed"])
     write_atomic(cfg["model-file"], md.model_to_json(model))
-    print(f"train: model={family} rows={len(dataset.rows)} "
+    print(f"train: model={family} rows={len(dataset)} "
           f"seed={cfg['seed']} out={cfg['model-file']}")
 
 
@@ -254,7 +254,7 @@ def cmd_evaluate(cfg: dict) -> None:
                           base_params=base_params(cfg))
     write_atomic(cfg["report-file"], ev.report_to_json(report))
     write_atomic(cfg["pr-file"], ev.pr_points_to_csv(report.pr_points))
-    write_atomic(cfg["oof-file"], ev.oof_to_csv(report.pooled))
+    write_atomic(cfg["oof-file"], ev.oof_to_csv(dataset, report))
     ap_mean, ap_std = report.summary["ap"]
     print(f"evaluate: model={cfg['model']} folds={cfg['outer-folds']} "
           f"seed={cfg['seed']} ap={ap_mean:.4f}+-{ap_std:.4f} "
@@ -263,37 +263,20 @@ def cmd_evaluate(cfg: dict) -> None:
 
 def _predictions_for_proxy(cfg: dict, dataset) -> np.ndarray:
     if cfg["use-labels"]:
-        return dataset.labels()
+        return dataset.require_labels()
     if cfg["predictions"]:
-        rows = ev.parse_oof_csv(Path(cfg["predictions"]).read_text())
-        table = {(r["group_id"], r["row"], r["col"]): r["pred"] for r in rows}
-        preds = []
-        for row in dataset.rows:
-            key = (row.group_id, row.row, row.col)
-            if key not in table:
-                raise ValueError(f"missing prediction for {key[0]},{key[1]},{key[2]}")
-            preds.append(table[key])
-        return np.array(preds, dtype=int)
+        return ev.oof_predictions(dataset,
+                                  Path(cfg["predictions"]).read_text())
     model = md.parse_model_json(Path(cfg["model-file"]).read_text())
-    return md.predict_labels(model, dataset, cutoff=cfg["cutoff"])
+    return md.predict_labels(model, dataset.X, dataset.moran_high,
+                             cutoff=cfg["cutoff"])
 
 
 def cmd_proxy_report(cfg: dict) -> None:
     dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
     preds = _predictions_for_proxy(cfg, dataset)
     estimates = ev.ship_estimates(dataset, preds)
-    proxies = []
-    seen = set()
-    speed_col = ds_mod.FEATURE_BASE.index("ship_speed")
-    length_col = ds_mod.FEATURE_BASE.index("ship_length")
-    for row in dataset.rows:
-        mmsi, _ = ev.split_group_id(row.group_id)
-        if mmsi in seen:
-            continue
-        seen.add(mmsi)
-        proxies.append(ev.EmissionProxy(
-            mmsi=mmsi, e_s=row.features[length_col] ** 2
-            * row.features[speed_col] ** 3))
+    proxies = ev.ship_proxies(dataset)
     write_atomic(cfg["proxy-file"], ev.estimates_to_csv(estimates, proxies))
     n_zero = sum(1 for e in estimates if e.n_plume_pixels == 0)
     r = ev.proxy_correlation(estimates, proxies)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import GridImage, fmt_float
 from .sector import NormalizedPixel, ShipSector
-from .tracks import KNOT_MS, ShipInfo, Track, WindVector
+from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
 
 FEATURE_BASE = ("moran_i", "no2", "wind_speed", "wind_dir_sin", "wind_dir_cos",
                 "ship_speed", "ship_length")
@@ -29,48 +29,36 @@ def feature_names(n_levels: int = 5, n_subsectors: int = 5) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    group_id: str
-    row: int
-    col: int
-    features: tuple[float, ...]
-    moran_high: float
-    label: int | None = None
-
-
 @dataclass
 class LabeledDataset:
-    rows: list[FeatureRow]
+    """The per-pixel table as columns: entry i of every array is row i."""
+
+    group_ids: np.ndarray    # (n,) str, <mmsi>_<ISO date> of the plume image
+    rows: np.ndarray         # (n,) int, pixel row in the cropped plume image
+    cols: np.ndarray         # (n,) int, pixel column
+    X: np.ndarray            # (n, n_features) float, see feature_names()
+    moran_high: np.ndarray   # (n,) float, auxiliary Moran-on-high value
+    labels: np.ndarray       # (n,) int, 0/1, or -1 for an unlabeled row
     n_levels: int = 5
     n_subsectors: int = 5
     n_dropped: int = 0
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     @property
     def class_counts(self) -> tuple[int, int]:
         """(n_negative, n_positive) over labeled rows."""
-        neg = sum(1 for r in self.rows if r.label == 0)
-        pos = sum(1 for r in self.rows if r.label == 1)
-        return neg, pos
+        return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features for r in self.rows], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        if any(r.label is None for r in self.rows):
+    def require_labels(self) -> np.ndarray:
+        if np.any(self.labels < 0):
             raise ValueError("dataset contains unlabeled rows")
-        return np.array([r.label for r in self.rows], dtype=int)
+        return self.labels
 
-    def groups(self) -> list[str]:
-        return [r.group_id for r in self.rows]
-
-    def moran_high_values(self) -> np.ndarray:
-        return np.array([r.moran_high for r in self.rows], dtype=float)
-
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(rows=[self.rows[i] for i in indices],
-                              n_levels=self.n_levels,
-                              n_subsectors=self.n_subsectors)
+    def column(self, name: str) -> np.ndarray:
+        return self.X[:, feature_names(self.n_levels,
+                                       self.n_subsectors).index(name)]
 
 
 @dataclass
@@ -88,12 +76,6 @@ class ShipImage:
     normalized: list[NormalizedPixel]
 
 
-def _track_center(track) -> tuple[float, float]:
-    lats = [p.lat for p in track.points]
-    lons = [p.lon for p in track.points]
-    return sum(lats) / len(lats), sum(lons) / len(lons)
-
-
 def select_ships(candidates: list[tuple[ShipInfo, Track]],
                  min_speed_kt: float = 14.0,
                  dedup_radius_deg: float = 0.4) -> list[tuple[ShipInfo, Track]]:
@@ -106,7 +88,7 @@ def select_ships(candidates: list[tuple[ShipInfo, Track]],
     n = len(fast)
     if n == 0:
         return []
-    centers = [_track_center(tr) for _, tr in fast]
+    centers = [mean_position(tr) for _, tr in fast]
 
     parent = list(range(n))
 
@@ -146,46 +128,50 @@ def wind_direction_features(wind: WindVector) -> tuple[float, float]:
 def assemble(images: list[ShipImage],
              labels: dict[tuple[str, int, int], int] | None = None,
              n_levels: int = 5, n_subsectors: int = 5) -> LabeledDataset:
-    """One FeatureRow per sector pixel, groups ordered by group_id.
+    """One row per sector pixel, groups ordered by group_id.
 
     When a label table is given, listed pixels take their label and the rest
     default to 0; a label keyed to a pixel that was never assembled raises
-    "orphan label". Rows with any non-finite feature are dropped and counted.
+    "orphan label". Without a table every row is unlabeled (-1). Rows with
+    any non-finite feature are dropped and counted.
     """
-    rows: list[FeatureRow] = []
-    dropped = 0
-    seen: set[tuple[str, int, int]] = set()
+    n_base = len(FEATURE_BASE)
+    n_feat = n_base + n_levels + n_subsectors
+    keys: list[tuple[str, int, int]] = []
+    X_parts = [np.zeros((0, n_feat))]
+    mh_parts = [np.zeros(0)]
     for im in sorted(images, key=lambda im: im.group_id):
-        wind_speed = im.wind.speed
-        dsin, dcos = wind_direction_features(im.wind)
-        for npx in im.normalized:
-            r, c = npx.row, npx.col
-            key = (im.group_id, r, c)
-            seen.add(key)
-            onehot_level = [0.0] * n_levels
-            onehot_level[npx.level - 1] = 1.0
-            onehot_sub = [0.0] * n_subsectors
-            onehot_sub[npx.sub_sector - 1] = 1.0
-            feats = (float(im.moran.values[r, c]), float(im.crop.values[r, c]),
-                     wind_speed, dsin, dcos,
-                     im.info.speed_ms, im.info.length_m,
-                     *onehot_level, *onehot_sub)
-            mh = float(im.moran_high.values[r, c])
-            if not all(math.isfinite(f) for f in feats) or not math.isfinite(mh):
-                dropped += 1
-                continue
-            label = None
-            if labels is not None:
-                label = int(labels.get(key, 0))
-            rows.append(FeatureRow(group_id=im.group_id, row=r, col=c,
-                                   features=feats, moran_high=mh, label=label))
-    if labels is not None:
-        orphans = set(labels) - seen
+        pix = im.normalized
+        r = np.array([p.row for p in pix], dtype=int)
+        c = np.array([p.col for p in pix], dtype=int)
+        X = np.zeros((len(pix), n_feat))
+        X[:, 0] = im.moran.values[r, c]
+        X[:, 1] = im.crop.values[r, c]
+        X[:, 2:n_base] = (im.wind.speed, *wind_direction_features(im.wind),
+                          im.info.speed_ms, im.info.length_m)
+        at = np.arange(len(pix))
+        X[at, [n_base - 1 + p.level for p in pix]] = 1.0
+        X[at, [n_base + n_levels - 1 + p.sub_sector for p in pix]] = 1.0
+        X_parts.append(X)
+        mh_parts.append(im.moran_high.values[r, c])
+        keys += [(im.group_id, p.row, p.col) for p in pix]
+    if labels is None:
+        y = np.full(len(keys), -1)
+    else:
+        orphans = set(labels) - set(keys)
         if orphans:
             gid, r, c = sorted(orphans)[0]
             raise ValueError(f"orphan label: {gid},{r},{c}")
-    return LabeledDataset(rows=rows, n_levels=n_levels,
-                          n_subsectors=n_subsectors, n_dropped=dropped)
+        y = np.array([labels.get(k, 0) for k in keys], dtype=int)
+    X = np.concatenate(X_parts)
+    mh = np.concatenate(mh_parts)
+    keep = np.isfinite(X).all(axis=1) & np.isfinite(mh)
+    return LabeledDataset(
+        group_ids=np.array([k[0] for k in keys], dtype=str)[keep],
+        rows=np.array([k[1] for k in keys], dtype=int)[keep],
+        cols=np.array([k[2] for k in keys], dtype=int)[keep],
+        X=X[keep], moran_high=mh[keep], labels=y[keep], n_levels=n_levels,
+        n_subsectors=n_subsectors, n_dropped=int(np.sum(~keep)))
 
 
 # --- file formats ---------------------------------------------------------
@@ -222,33 +208,57 @@ def dataset_header(n_levels: int = 5, n_subsectors: int = 5) -> str:
 
 def dataset_to_csv(ds: LabeledDataset) -> str:
     lines = [dataset_header(ds.n_levels, ds.n_subsectors)]
-    for r in ds.rows:
-        feats = ",".join(fmt_float(f) for f in r.features)
-        label = "" if r.label is None else str(int(r.label))
-        lines.append(f"{r.group_id},{r.row},{r.col},{feats},"
-                     f"{fmt_float(r.moran_high)},{label}")
+    # Python floats from tolist() format faster than numpy scalars; one row
+    # at a time keeps the float objects of the whole table out of memory.
+    for gid, r, c, feats, mh, y in zip(ds.group_ids.tolist(), ds.rows.tolist(),
+                                       ds.cols.tolist(), ds.X,
+                                       ds.moran_high.tolist(),
+                                       ds.labels.tolist()):
+        label = "" if y < 0 else str(y)
+        lines.append(f"{gid},{r},{c},{','.join(map(fmt_float, feats.tolist()))},"
+                     f"{fmt_float(mh)},{label}")
     return "\n".join(lines) + "\n"
 
 
+_LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
+
+
 def parse_dataset_csv(text: str) -> LabeledDataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a dataset CSV; a row with a non-finite feature or moran_high
+    value, or a label other than 0, 1 or empty, is rejected."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty dataset CSV")
-    cols = lines[0].split(",")
-    n_levels = sum(1 for c in cols if c.startswith("level_"))
-    n_subsectors = sum(1 for c in cols if c.startswith("subsector_"))
-    if cols != dataset_header(n_levels, n_subsectors).split(","):
+    header = lines[0][1].split(",")
+    n_levels = sum(1 for c in header if c.startswith("level_"))
+    n_subsectors = sum(1 for c in header if c.startswith("subsector_"))
+    if header != dataset_header(n_levels, n_subsectors).split(","):
         raise ValueError("bad dataset CSV header")
     n_feat = len(FEATURE_BASE) + n_levels + n_subsectors
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != n_feat + 5:
-            raise ValueError("bad dataset CSV row")
-        gid, r, c = parts[0], int(parts[1]), int(parts[2])
-        feats = tuple(float(tok) for tok in parts[3:3 + n_feat])
-        mh = float(parts[3 + n_feat])
-        label_tok = parts[4 + n_feat]
-        label = None if label_tok == "" else int(label_tok)
-        rows.append(FeatureRow(gid, r, c, feats, mh, label))
-    return LabeledDataset(rows=rows, n_levels=n_levels, n_subsectors=n_subsectors)
+    n = len(lines) - 1
+    gids, rows, cols, labels = [], [], [], []
+    values = np.empty((n, n_feat + 1))
+    for i, (k, ln) in enumerate(lines[1:]):
+        p = ln.split(",")
+        try:
+            if len(p) != n_feat + 5:
+                raise ValueError("wrong field count")
+            rows.append(int(p[1]))
+            cols.append(int(p[2]))
+            values[i] = [float(t) for t in p[3:4 + n_feat]]
+            if p[-1] not in _LABEL_TOKENS:
+                raise ValueError(f"bad label {p[-1]!r}")
+        except ValueError as exc:
+            raise ValueError(f"dataset CSV line {k}: {exc}") from None
+        gids.append(p[0])
+        labels.append(_LABEL_TOKENS[p[-1]])
+    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
+    if bad.size:
+        k = lines[int(bad[0]) + 1][0]
+        raise ValueError(f"dataset CSV line {k}: non-finite value")
+    return LabeledDataset(group_ids=np.array(gids, dtype=str),
+                          rows=np.array(rows, dtype=int),
+                          cols=np.array(cols, dtype=int), X=values[:, :n_feat],
+                          moran_high=values[:, n_feat],
+                          labels=np.array(labels, dtype=int),
+                          n_levels=n_levels, n_subsectors=n_subsectors)

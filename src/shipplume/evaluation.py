@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset
+from .grid import fmt_float
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family, predict_labels,
                      predict_scores, sample_params)
 from .tracks import ShipInfo
@@ -45,8 +46,18 @@ class CVReport:
     folds: list[FoldResult]
     summary: dict[str, tuple[float, float]]        # metric -> (mean, std)
     pr_points: list[tuple[float, float, float]]    # (threshold, precision, recall)
-    pooled: list[dict]                             # per-row out-of-fold results
-    splits: list[dict] = field(default_factory=list)  # every train/test row split
+    # Out-of-fold results, pooled over the outer folds in fold order: the
+    # dataset row index, score and binary prediction of every row.
+    oof_index: np.ndarray
+    oof_score: np.ndarray
+    oof_pred: np.ndarray
+    splits: list[dict] = field(default_factory=list)  # every train/test group split
+
+    def predictions(self) -> np.ndarray:
+        """Out-of-fold binary predictions in dataset row order."""
+        out = np.empty(len(self.oof_index), dtype=int)
+        out[self.oof_index] = self.oof_pred
+        return out
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,10 @@ class ShipEstimate:
     date: str
     no2_sum: float
     n_plume_pixels: int
+
+    @property
+    def group_id(self) -> str:
+        return f"{self.mmsi}_{self.date}"
 
 
 def pr_metrics(labels, predictions) -> Metrics:
@@ -136,11 +151,12 @@ def pearson(x, y) -> float:
 
 # --- nested group cross-validation ------------------------------------------
 
-def _group_indices(groups: list[str]) -> dict[str, np.ndarray]:
-    idx: dict[str, list[int]] = {}
-    for i, g in enumerate(groups):
-        idx.setdefault(g, []).append(i)
-    return {g: np.array(v, dtype=int) for g, v in idx.items()}
+def _group_indices(group_ids: np.ndarray) -> dict[str, np.ndarray]:
+    """Row indices of every group, ascending."""
+    uniq, inverse = np.unique(group_ids, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    return dict(zip(uniq.tolist(), np.split(order, bounds)))
 
 
 def _deal(items: list[str], n_folds: int, rng: np.random.Generator,
@@ -188,11 +204,10 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown model family: {family}")
     space = DEFAULT_SPACES[family] if search_space is None else search_space
-    X = ds.feature_matrix()
-    y = ds.labels()
-    aux = ds.moran_high_values()
-    groups = ds.groups()
-    table = _group_indices(groups)
+    X = ds.X
+    y = ds.require_labels()
+    aux = ds.moran_high
+    table = _group_indices(ds.group_ids)
     uniq = sorted(table)
     if len(uniq) < n_outer:
         raise ValueError("group count < fold count")
@@ -200,16 +215,15 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
     outer = _deal(uniq, n_outer, rng)
 
     folds: list[FoldResult] = []
-    pooled: list[dict] = []
-    pooled_scores: list[np.ndarray] = []
-    pooled_labels: list[np.ndarray] = []
+    pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     splits: list[dict] = []
     for k, test_groups in enumerate(outer):
         train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
         tr = _rows_of(train_groups, table)
         te = _rows_of(test_groups, table)
         splits.append({"kind": "outer", "fold": k,
-                       "train_rows": tr.tolist(), "test_rows": te.tolist()})
+                       "train_groups": train_groups,
+                       "test_groups": test_groups})
 
         params: dict = dict(base_params or {})
         if space and n_candidates > 1:
@@ -220,13 +234,13 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
             inner = _deal(train_groups, n_inner, frng)
             inner_splits = []
             for j, val_groups in enumerate(inner):
-                itr = _rows_of([g for m, fold in enumerate(inner) if m != j
-                                for g in fold], table)
-                iva = _rows_of(val_groups, table)
-                inner_splits.append((itr, iva))
+                fit_groups = [g for m, fold in enumerate(inner) if m != j
+                              for g in fold]
+                inner_splits.append((_rows_of(fit_groups, table),
+                                     _rows_of(val_groups, table)))
                 splits.append({"kind": "inner", "fold": k, "inner_fold": j,
-                               "train_rows": itr.tolist(),
-                               "test_rows": iva.tolist()})
+                               "train_groups": fit_groups,
+                               "test_groups": val_groups})
             best_score = -math.inf
             best = candidates[0]
             for cand in candidates:
@@ -248,33 +262,26 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
                                 metrics=Metrics(precision=m.precision,
                                                 recall=m.recall, f1=m.f1,
                                                 ap=ap, support=m.support)))
-        pooled_scores.append(s)
-        pooled_labels.append(y[te])
-        for i, row_idx in enumerate(te):
-            r = ds.rows[row_idx]
-            pooled.append({"group_id": r.group_id, "row": r.row, "col": r.col,
-                           "score": float(s[i]), "pred": int(p[i]),
-                           "label": int(y[row_idx])})
+        pooled.append((te, s, p))
 
     summary = {}
     for name in ("precision", "recall", "f1", "ap"):
         vals = np.array([getattr(f.metrics, name) for f in folds])
         summary[name] = (float(vals.mean()), float(vals.std()))
-    all_scores = np.concatenate(pooled_scores)
-    all_labels = np.concatenate(pooled_labels)
-    points = pr_curve(all_labels, all_scores)
+    oof_index, oof_score, oof_pred = (np.concatenate(a) for a in zip(*pooled))
     return CVReport(family=family, n_outer=n_outer, n_inner=n_inner,
                     n_candidates=n_candidates, seed=seed, folds=folds,
-                    summary=summary, pr_points=points, pooled=pooled,
-                    splits=splits)
+                    summary=summary,
+                    pr_points=pr_curve(y[oof_index], oof_score),
+                    oof_index=oof_index, oof_score=oof_score,
+                    oof_pred=oof_pred, splits=splits)
 
 
 # --- emission proxy ----------------------------------------------------------
 
 def emission_proxy(info: ShipInfo) -> EmissionProxy:
-    """Theoretical relative emission potential: length^2 * speed^3."""
-    if info.length_m <= 0:
-        raise ValueError("non-positive length")
+    """Theoretical relative emission potential: length^2 * speed^3 (ShipInfo
+    guarantees a positive length)."""
     return EmissionProxy(mmsi=info.mmsi,
                          e_s=info.length_m ** 2 * info.speed_ms ** 3)
 
@@ -284,40 +291,51 @@ def split_group_id(group_id: str) -> tuple[int, str]:
     return int(mmsi), date
 
 
+def ship_proxies(ds: LabeledDataset) -> dict[str, float]:
+    """Emission proxy of every group (one ship on one day), from that group's
+    own ship length and speed; keyed by group_id."""
+    length = ds.column("ship_length")
+    speed = ds.column("ship_speed")
+    groups, first = np.unique(ds.group_ids, return_index=True)
+    out = {}
+    for gid, i in zip(groups.tolist(), first.tolist()):
+        mmsi, date = split_group_id(gid)
+        info = ShipInfo(mmsi=mmsi, length_m=float(length[i]),
+                        speed_ms=float(speed[i]))
+        out[f"{mmsi}_{date}"] = emission_proxy(info).e_s
+    return out
+
+
 def ship_estimates(ds: LabeledDataset, predictions) -> list[ShipEstimate]:
     """Per-ship NO2 totals over the pixels predicted as plume."""
     p = np.asarray(predictions, dtype=int)
-    if len(p) != len(ds.rows):
+    if len(p) != len(ds):
         raise ValueError("length mismatch")
-    no2_col = 1  # FEATURE_BASE.index("no2")
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for i, row in enumerate(ds.rows):
-        sums.setdefault(row.group_id, 0.0)
-        counts.setdefault(row.group_id, 0)
-        if p[i] == 1:
-            sums[row.group_id] += row.features[no2_col]
-            counts[row.group_id] += 1
+    groups, inverse = np.unique(ds.group_ids, return_inverse=True)
+    hit = p == 1
+    # bincount adds in row order, like a running sum per group
+    sums = np.bincount(inverse[hit], weights=ds.column("no2")[hit],
+                       minlength=len(groups))
+    counts = np.bincount(inverse[hit], minlength=len(groups))
     out = []
-    for gid in sorted(sums):
+    for gid, total, n in zip(groups.tolist(), sums.tolist(), counts.tolist()):
         mmsi, date = split_group_id(gid)
-        n = counts[gid]
-        out.append(ShipEstimate(mmsi=mmsi, date=date,
-                                no2_sum=sums[gid] if n > 0 else 0.0,
+        out.append(ShipEstimate(mmsi=mmsi, date=date, no2_sum=total,
                                 n_plume_pixels=n))
     return out
 
 
 def proxy_correlation(estimates: list[ShipEstimate],
-                      proxies: list[EmissionProxy]) -> float:
-    """Pearson r between per-ship NO2 totals and the emission proxy; ships with
-    zero predicted plume pixels are excluded (count them separately)."""
-    by_mmsi = {p.mmsi: p.e_s for p in proxies}
-    usable = [e for e in estimates if e.n_plume_pixels > 0 and e.mmsi in by_mmsi]
+                      proxies: dict[str, float]) -> float:
+    """Pearson r between per-ship NO2 totals and the emission proxy of the
+    same group_id; ships with zero predicted plume pixels are excluded
+    (count them separately)."""
+    usable = [e for e in estimates
+              if e.n_plume_pixels > 0 and e.group_id in proxies]
     if len(usable) < 2:
         raise ValueError("insufficient ships")
     x = np.array([e.no2_sum for e in usable])
-    y = np.array([by_mmsi[e.mmsi] for e in usable])
+    y = np.array([proxies[e.group_id] for e in usable])
     return pearson(x, y)
 
 
@@ -346,7 +364,6 @@ def report_to_json(report: CVReport) -> str:
 
 
 def pr_points_to_csv(points: list[tuple[float, float, float]]) -> str:
-    from .grid import fmt_float
     lines = ["threshold,precision,recall"]
     for t, p, r in points:
         lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(r)}")
@@ -354,32 +371,41 @@ def pr_points_to_csv(points: list[tuple[float, float, float]]) -> str:
 
 
 def estimates_to_csv(estimates: list[ShipEstimate],
-                     proxies: list[EmissionProxy]) -> str:
-    from .grid import fmt_float
-    by_mmsi = {p.mmsi: p.e_s for p in proxies}
+                     proxies: dict[str, float]) -> str:
     lines = ["mmsi,date,no2_sum,e_s"]
     for e in estimates:
         lines.append(f"{e.mmsi},{e.date},{fmt_float(e.no2_sum)},"
-                     f"{fmt_float(by_mmsi[e.mmsi])}")
+                     f"{fmt_float(proxies[e.group_id])}")
     return "\n".join(lines) + "\n"
 
 
-def oof_to_csv(pooled: list[dict]) -> str:
-    from .grid import fmt_float
-    lines = ["group_id,row,col,score,pred,label"]
-    for row in pooled:
-        lines.append(f"{row['group_id']},{row['row']},{row['col']},"
-                     f"{fmt_float(row['score'])},{row['pred']},{row['label']}")
+OOF_HEADER = "group_id,row,col,score,pred,label"
+
+
+def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
+    i = report.oof_index
+    lines = [OOF_HEADER]
+    for gid, r, c, s, p, y in zip(ds.group_ids[i].tolist(), ds.rows[i].tolist(),
+                                  ds.cols[i].tolist(), report.oof_score.tolist(),
+                                  report.oof_pred.tolist(),
+                                  ds.labels[i].tolist()):
+        lines.append(f"{gid},{r},{c},{fmt_float(s)},{p},{y}")
     return "\n".join(lines) + "\n"
 
 
-def parse_oof_csv(text: str) -> list[dict]:
+def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:
+    """The binary predictions of an out-of-fold CSV in dataset row order;
+    every dataset row needs one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "group_id,row,col,score,pred,label":
+    if not lines or lines[0] != OOF_HEADER:
         raise ValueError("bad out-of-fold CSV header")
-    out = []
+    table = {}
     for ln in lines[1:]:
-        gid, r, c, s, p, y = ln.split(",")
-        out.append({"group_id": gid, "row": int(r), "col": int(c),
-                    "score": float(s), "pred": int(p), "label": int(y)})
-    return out
+        gid, r, c, _, p, _ = ln.split(",")
+        table[(gid, int(r), int(c))] = int(p)
+    keys = zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist())
+    try:
+        return np.array([table[key] for key in keys], dtype=int)
+    except KeyError as exc:
+        gid, r, c = exc.args[0]
+        raise ValueError(f"missing prediction for {gid},{r},{c}") from None

@@ -7,7 +7,6 @@ Invalid cells are excluded from every downstream statistic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,6 @@ class GridSpec:
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (self.lat_min + (row + 0.5) * self.cell_size,
                 self.lon_min + (col + 0.5) * self.cell_size)
-
-    def cell_index(self, lat: float, lon: float) -> tuple[int, int]:
-        """Index of the cell containing the point (may be out of range)."""
-        r = math.floor((lat - self.lat_min) / self.cell_size)
-        c = math.floor((lon - self.lon_min) / self.cell_size)
-        return r, c
 
     def contains(self, lat: float, lon: float) -> bool:
         return (self.lat_min <= lat <= self.lat_max
@@ -189,11 +182,14 @@ def parse_grid_csv(text: str) -> GridImage:
             header[key] = value
         elif line.strip():
             rows.append([float(tok) for tok in line.split(",")])
-    spec = GridSpec(lat_min=float(header["lat_min"]),
-                    lon_min=float(header["lon_min"]),
-                    cell_size=float(header["cell_size"]),
-                    n_rows=int(header["n_rows"]),
-                    n_cols=int(header["n_cols"]))
+    try:
+        spec = GridSpec(lat_min=float(header["lat_min"]),
+                        lon_min=float(header["lon_min"]),
+                        cell_size=float(header["cell_size"]),
+                        n_rows=int(header["n_rows"]),
+                        n_cols=int(header["n_cols"]))
+    except KeyError as exc:
+        raise ValueError(f"grid-csv header missing #{exc.args[0]}=") from None
     values = np.array(rows, dtype=float)
     if values.shape != (spec.n_rows, spec.n_cols):
         raise ValueError("grid-csv body does not match declared shape")

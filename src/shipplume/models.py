@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .dataset import FEATURE_BASE, LabeledDataset
+from .dataset import FEATURE_BASE
 
 THRESHOLD_FEATURES = ("no2", "moran", "moran_on_high")
 GBT_LAMBDA = 1.0  # hessian (L2) regularizer on leaf weights
@@ -120,14 +120,6 @@ def fit_threshold_values(values: np.ndarray, y: np.ndarray) -> float:
     return float(mids[best])
 
 
-def fit_threshold(ds: LabeledDataset, feature: str) -> ThresholdModel:
-    X = ds.feature_matrix()
-    y = ds.labels()
-    values = _threshold_values(feature, X, ds.moran_high_values())
-    return ThresholdModel(feature=feature,
-                          threshold=fit_threshold_values(values, y))
-
-
 # --- logistic regression ---------------------------------------------------
 
 N_CONTINUOUS = len(FEATURE_BASE)
@@ -195,13 +187,6 @@ def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
         b = b - lr * gb
     return LogisticModel(weights=w, bias=b, class_weights=(w_neg, w_pos),
                          feature_mean=mean, feature_std=std)
-
-
-def fit_logistic(ds: LabeledDataset, l2: float = 1e-3, max_iter: int = 1000,
-                 lr: float = 0.5, seed: int = 0) -> LogisticModel:
-    del seed  # the optimizer is deterministic; kept for interface symmetry
-    return fit_logistic_arrays(ds.feature_matrix(), ds.labels(),
-                               l2=l2, max_iter=max_iter, lr=lr)
 
 
 # --- gradient-boosted trees -------------------------------------------------
@@ -314,24 +299,12 @@ def fit_gbt_arrays(X: np.ndarray, y: np.ndarray, params: dict | None = None,
                     reg_alpha=float(p["reg_alpha"]), n_features=d)
 
 
-def fit_gbt(ds: LabeledDataset, params: dict | None = None, seed: int = 0) -> GBTModel:
-    return fit_gbt_arrays(ds.feature_matrix(), ds.labels(), params, seed)
-
-
 # --- prediction -------------------------------------------------------------
 
-def _as_matrix(rows) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(rows, LabeledDataset):
-        return rows.feature_matrix(), rows.moran_high_values()
-    return np.asarray(rows, dtype=float), None
-
-
-def predict_scores(model, rows, moran_high: np.ndarray | None = None) -> np.ndarray:
+def predict_scores(model, X, moran_high: np.ndarray | None = None) -> np.ndarray:
     """Probabilities for logistic/GBT models, raw feature values for
     threshold models."""
-    X, mh = _as_matrix(rows)
-    if moran_high is None:
-        moran_high = mh
+    X = np.asarray(X, dtype=float)
     if isinstance(model, ThresholdModel):
         if X.shape[1] < len(FEATURE_BASE):
             raise ValueError("feature length mismatch")
@@ -351,11 +324,11 @@ def predict_scores(model, rows, moran_high: np.ndarray | None = None) -> np.ndar
     raise TypeError(f"unknown model type: {type(model).__name__}")
 
 
-def predict_labels(model, rows, moran_high: np.ndarray | None = None,
+def predict_labels(model, X, moran_high: np.ndarray | None = None,
                    cutoff: float = 0.5) -> np.ndarray:
     """Binary predictions; threshold models compare against their own fitted
     threshold, probabilistic models against the cutoff."""
-    scores = predict_scores(model, rows, moran_high)
+    scores = predict_scores(model, X, moran_high)
     if isinstance(model, ThresholdModel):
         return (scores >= model.threshold).astype(int)
     return (scores >= cutoff).astype(int)
@@ -386,7 +359,13 @@ def model_to_json(model) -> str:
 
 
 def parse_model_json(text: str):
-    obj = json.loads(text)
+    try:
+        return _model_from_obj(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"model JSON missing key: {exc.args[0]}") from None
+
+
+def _model_from_obj(obj: dict):
     kind = obj.get("type")
     if kind == "threshold":
         return ThresholdModel(feature=obj["feature"], threshold=obj["threshold"])

@@ -16,10 +16,10 @@ from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
 from .enhance import moran_enhance, moran_on_high
 from .grid import GridImage, crop, parse_grid_csv
 from .sector import ShipSector, build_sector, normalize, pixels_in_sector
-from .tracks import (AISRecord, ShipInfo, WindSample, extreme_tracks,
-                     interpolate_track, lookup_wind, overpass_speed_ms,
-                     parse_ais_csv, parse_registry_csv, parse_wind_csv,
-                     wind_shift)
+from .tracks import (AISRecord, ShipInfo, Track, WindSample, WindVector,
+                     extreme_tracks, interpolate_track, lookup_wind,
+                     mean_position, overpass_speed_ms, parse_ais_csv,
+                     parse_registry_csv, parse_wind_csv, wind_shift)
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,40 @@ def group_id_for(mmsi: int, t_overpass: float) -> str:
     return f"{mmsi}_{date.isoformat()}"
 
 
-def _mean_position(track) -> tuple[float, float]:
-    lats = [p.lat for p in track.points]
-    lons = [p.lon for p in track.points]
-    return sum(lats) / len(lats), sum(lons) / len(lons)
+def _ship_tracks(records: list[AISRecord], registry: dict[int, float] | None,
+                 wind_samples: list[WindSample], t_overpass: float,
+                 params: PipelineParams, skip):
+    """Per-ship set-up shared by the image and sector builders: in MMSI order,
+    yield (mmsi, records, resampled track, wind at the track mean). Ships
+    missing from the registry (when one is given) or with too little AIS
+    coverage go to skip() instead."""
+    by_mmsi: dict[int, list[AISRecord]] = {}
+    for rec in records:
+        by_mmsi.setdefault(rec.mmsi, []).append(rec)
+    for mmsi in sorted(by_mmsi):
+        recs = by_mmsi[mmsi]
+        if registry is not None and mmsi not in registry:
+            skip("no registry entry")
+            continue
+        try:
+            track = interpolate_track(recs, t_overpass,
+                                      window_s=params.window_s,
+                                      step_s=params.step_s)
+        except ValueError:
+            skip("insufficient AIS coverage")
+            continue
+        wind = lookup_wind(wind_samples, t_overpass, *mean_position(track))
+        yield mmsi, recs, track, wind
+
+
+def _sector(track: Track, wind: WindVector, t_overpass: float,
+            params: PipelineParams) -> ShipSector:
+    """The search sector between the track and its two extreme tracks."""
+    ext_left, ext_right = extreme_tracks(track, wind, t_overpass,
+                                         dspeed=params.dspeed,
+                                         dangle=params.dangle)
+    return build_sector(track, ext_left, ext_right,
+                        angle_half_width=params.dangle)
 
 
 def build_ship_images(image: GridImage, records: list[AISRecord],
@@ -64,26 +94,11 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
     def skip(reason: str) -> None:
         skipped[reason] = skipped.get(reason, 0) + 1
 
-    by_mmsi: dict[int, list[AISRecord]] = {}
-    for rec in records:
-        by_mmsi.setdefault(rec.mmsi, []).append(rec)
-
     prepared = []
-    for mmsi in sorted(by_mmsi):
-        recs = by_mmsi[mmsi]
-        if mmsi not in registry:
-            skip("no registry entry")
-            continue
-        try:
-            track = interpolate_track(recs, t_overpass,
-                                      window_s=params.window_s,
-                                      step_s=params.step_s)
-        except ValueError:
-            skip("insufficient AIS coverage")
-            continue
+    for mmsi, recs, track, wind in _ship_tracks(records, registry, wind_samples,
+                                                t_overpass, params, skip):
         info = ShipInfo(mmsi=mmsi, length_m=registry[mmsi],
                         speed_ms=overpass_speed_ms(recs, t_overpass))
-        wind = lookup_wind(wind_samples, t_overpass, *_mean_position(track))
         shifted = wind_shift(track, wind, t_overpass)
         prepared.append((info, track, wind, shifted))
 
@@ -99,16 +114,12 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
     for info, track, wind, shifted in prepared:
         if info.mmsi not in keep:
             continue
-        center_lat, center_lon = _mean_position(shifted)
+        center_lat, center_lon = mean_position(shifted)
         try:
             cimg = crop(image, center_lat, center_lon, params.half_extent)
             enhanced = moran_enhance(cimg)
             enhanced_high = moran_on_high(cimg)
-            ext_left, ext_right = extreme_tracks(track, wind, t_overpass,
-                                                 dspeed=params.dspeed,
-                                                 dangle=params.dangle)
-            sec = build_sector(track, ext_left, ext_right,
-                               angle_half_width=params.dangle)
+            sec = _sector(track, wind, t_overpass, params)
             pixels = pixels_in_sector(sec, cimg)
             if not pixels:
                 skip("empty sector")
@@ -130,21 +141,12 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
 def build_sectors(records: list[AISRecord], wind_samples: list[WindSample],
                   t_overpass: float, params: PipelineParams) -> list[ShipSector]:
     """Sector polygons only (no raster work), one per processable ship."""
-    by_mmsi: dict[int, list[AISRecord]] = {}
-    for rec in records:
-        by_mmsi.setdefault(rec.mmsi, []).append(rec)
     sectors = []
-    for mmsi in sorted(by_mmsi):
+    for _, _, track, wind in _ship_tracks(records, None, wind_samples,
+                                          t_overpass, params,
+                                          skip=lambda reason: None):
         try:
-            track = interpolate_track(by_mmsi[mmsi], t_overpass,
-                                      window_s=params.window_s,
-                                      step_s=params.step_s)
-            wind = lookup_wind(wind_samples, t_overpass, *_mean_position(track))
-            ext_left, ext_right = extreme_tracks(track, wind, t_overpass,
-                                                 dspeed=params.dspeed,
-                                                 dangle=params.dangle)
-            sectors.append(build_sector(track, ext_left, ext_right,
-                                        angle_half_width=params.dangle))
+            sectors.append(_sector(track, wind, t_overpass, params))
         except ValueError:
             continue
     return sectors

@@ -28,8 +28,8 @@ from .grid import (GridImage, GridSpec, M_PER_DEG_LAT, PointSample, fmt_float,
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        build_ship_images, read_scene_dir)
 from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, TrackPoint,
-                     WindSample, WindVector, ais_to_csv, registry_to_csv,
-                     wind_to_csv)
+                     WindSample, WindVector, ais_to_csv, mean_position,
+                     registry_to_csv, wind_shift, wind_to_csv)
 
 DEFAULT_GRID = GridSpec(lat_min=31.5, lon_min=19.5, cell_size=0.045,
                         n_rows=60, n_cols=60)
@@ -102,17 +102,6 @@ def _straight_track(mmsi: int, lat0: float, lon0: float, heading: float,
     return Track(mmsi, tuple(pts))
 
 
-def _shifted_mean(track: Track, wind: WindVector, t_overpass: float,
-                  ) -> tuple[float, float]:
-    lats, lons = [], []
-    for p in track.points:
-        dt = t_overpass - p.timestamp
-        lats.append(p.lat + wind.v * dt / M_PER_DEG_LAT)
-        lons.append(p.lon + wind.u * dt
-                    / (M_PER_DEG_LAT * math.cos(math.radians(p.lat))))
-    return sum(lats) / len(lats), sum(lons) / len(lons)
-
-
 def _deposit_puff(out: np.ndarray, spec: GridSpec, lat_ref: float,
                   lon_ref: float, plat: float, plon: float, sigma_m: float,
                   mass: float) -> None:
@@ -176,7 +165,7 @@ def generate_scene(config: SceneConfig) -> Scene:
             track = _straight_track(config.mmsi_base + i, lat0, lon0, heading,
                                     speed_kt * KNOT_MS, config.t_overpass,
                                     config.window_s, config.step_s)
-            center = _shifted_mean(track, wind, config.t_overpass)
+            center = mean_position(wind_shift(track, wind, config.t_overpass))
             if not (lat_lo <= center[0] <= lat_hi and lon_lo <= center[1] <= lon_hi):
                 continue
             if any(math.hypot(center[0] - c[0], center[1] - c[1])

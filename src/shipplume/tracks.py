@@ -72,11 +72,6 @@ class WindVector:
     def speed(self) -> float:
         return math.hypot(self.u, self.v)
 
-    @property
-    def direction_deg(self) -> float:
-        """Direction the wind blows toward, degrees counterclockwise from east."""
-        return math.degrees(math.atan2(self.v, self.u))
-
 
 @dataclass(frozen=True)
 class WindShiftedTrack:
@@ -144,6 +139,13 @@ def interpolate_track(records: list[AISRecord], t_overpass: float,
     if len(pts) < 2:
         raise ValueError("insufficient AIS coverage")
     return Track(mmsi, tuple(pts))
+
+
+def mean_position(track: Track | WindShiftedTrack) -> tuple[float, float]:
+    """Mean (lat, lon) of the track points."""
+    lats = [p.lat for p in track.points]
+    lons = [p.lon for p in track.points]
+    return sum(lats) / len(lats), sum(lons) / len(lons)
 
 
 def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> WindShiftedTrack:

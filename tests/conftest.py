@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from shipplume.dataset import LabeledDataset
 from shipplume.grid import GridImage, GridSpec
+
+
+def columns_dataset(group_ids, X, moran_high, labels, rows=None, cols=None):
+    """A LabeledDataset from per-row values; a None label is unlabeled."""
+    n = len(group_ids)
+    return LabeledDataset(
+        group_ids=np.array(group_ids, dtype=str),
+        rows=np.arange(n) if rows is None else np.asarray(rows, dtype=int),
+        cols=np.zeros(n, dtype=int) if cols is None else np.asarray(cols, dtype=int),
+        X=np.asarray(X, dtype=float).reshape(n, -1),
+        moran_high=np.asarray(moran_high, dtype=float),
+        labels=np.array([-1 if y is None else y for y in labels], dtype=int))
 
 
 @pytest.fixture

@@ -8,12 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from shipplume.dataset import (FeatureRow, LabeledDataset, dataset_to_csv,
-                               labels_to_csv, parse_dataset_csv,
-                               parse_labels_csv)
+from shipplume.dataset import (dataset_to_csv, labels_to_csv,
+                               parse_dataset_csv, parse_labels_csv)
 from shipplume.enhance import moran_enhance
-from shipplume.evaluation import (EmissionProxy, average_precision, nested_cv,
-                                  proxy_correlation, ship_estimates)
+from shipplume.evaluation import (average_precision, nested_cv,
+                                  proxy_correlation, ship_estimates,
+                                  ship_proxies)
 from shipplume.grid import GridImage, GridSpec, grid_to_csv, parse_grid_csv
 from shipplume.models import (GBTModel, LogisticModel, ThresholdModel,
                               eval_tree, fit_gbt_arrays, fit_threshold_values,
@@ -26,7 +26,7 @@ from shipplume.tracks import (AISRecord, ais_to_csv, parse_ais_csv,
                               WindVector)
 from scipy.special import expit
 
-from conftest import random_image
+from conftest import columns_dataset, random_image
 from test_enhance import dense_moran_oracle, image_3x3_center9
 from test_evaluation import unrolled_ap_oracle
 from test_models import f1_of
@@ -58,18 +58,6 @@ def corpus_a_reports(corpus_a):
         reports[family] = nested_cv(corpus_a, family, n_outer=5,
                                     n_candidates=1, seed=0, base_params=base)
     return reports
-
-
-def proxies_of(ds):
-    proxies, seen = [], set()
-    for row in ds.rows:
-        mmsi = int(row.group_id.partition("_")[0])
-        if mmsi in seen:
-            continue
-        seen.add(mmsi)
-        proxies.append(EmissionProxy(mmsi, row.features[6] ** 2
-                                     * row.features[5] ** 3))
-    return proxies
 
 
 def test_criterion_01_moran_oracle_equivalence(rng):
@@ -240,22 +228,23 @@ def test_criterion_04_metric_oracles(rng):
 
 def test_criterion_05_no_group_leakage(rng):
     start = time.time()
-    rows = []
+    gids, rows, feats, labels = [], [], [], []
     for g in range(40):
         for i in range(10):
-            feats = rng.normal(size=17)
-            label = int(feats[0] > 0.4) if i else 1
-            rows.append(FeatureRow(group_id=f"{g}_2019-04-01", row=i, col=0,
-                                   features=tuple(feats),
-                                   moran_high=float(feats[0]), label=label))
-    ds = LabeledDataset(rows=rows)
+            f = rng.normal(size=17)
+            gids.append(f"{g}_2019-04-01")
+            rows.append(i)
+            feats.append(f)
+            labels.append(int(f[0] > 0.4) if i else 1)
+    feats = np.array(feats)
+    ds = columns_dataset(gids, feats, feats[:, 0], labels, rows=rows)
     report = nested_cv(ds, "logistic", n_outer=5, n_inner=5, n_candidates=3,
                        seed=7, base_params={"max_iter": 20})
     assert any(s["kind"] == "inner" for s in report.splits)
     leaks = 0
     for split in report.splits:
-        train_groups = {ds.rows[i].group_id for i in split["train_rows"]}
-        test_groups = {ds.rows[i].group_id for i in split["test_rows"]}
+        train_groups = set(split["train_groups"])
+        test_groups = set(split["test_groups"])
         leaks += len(train_groups & test_groups)
     assert leaks == 0
     elapsed = time.time() - start
@@ -267,7 +256,7 @@ def test_criterion_05_no_group_leakage(rng):
 def test_criterion_06_method_ordering(corpus_a, corpus_a_reports):
     start = time.time()
     ap = {fam: rep.summary["ap"][0] for fam, rep in corpus_a_reports.items()}
-    assert len(set(corpus_a.groups())) == 200
+    assert len(set(corpus_a.group_ids.tolist())) == 200
     neg, pos = corpus_a.class_counts
     assert pos < neg  # plume pixels are the minority class
     assert ap["gbt"] >= ap["logistic"] >= ap["moran-high"] >= ap["no2"]
@@ -283,8 +272,8 @@ def test_criterion_07_enhancement_value(corpus_a):
     # corpus noise is white (correlation length 0 cells), i.e. spatially
     # uncorrelated at plume scale
     start = time.time()
-    X = corpus_a.feature_matrix()
-    y = corpus_a.labels()
+    X = corpus_a.X
+    y = corpus_a.require_labels()
     ap_moran = average_precision(y, X[:, 0])
     ap_no2 = average_precision(y, X[:, 1])
     assert ap_moran - ap_no2 >= 0.05
@@ -304,17 +293,14 @@ def test_criterion_08_proxy_correlation(tmp_path_factory, corpus_a,
                                         scene_kwargs=CORPUS_KWARGS)
     assert n_ships == 100
     ds_b, _ = build_dataset_from_scenes(manifest, params)
-    r_truth = proxy_correlation(ship_estimates(ds_b, ds_b.labels()),
-                                proxies_of(ds_b))
+    r_truth = proxy_correlation(ship_estimates(ds_b, ds_b.require_labels()),
+                                ship_proxies(ds_b))
     assert r_truth >= 0.95
 
     # boosted-tree out-of-fold predictions from the criterion-6 experiment
-    pooled = corpus_a_reports["gbt"].pooled
-    table = {(p["group_id"], p["row"], p["col"]): p["pred"] for p in pooled}
-    preds = np.array([table[(r.group_id, r.row, r.col)]
-                      for r in corpus_a.rows])
+    preds = corpus_a_reports["gbt"].predictions()
     r_gbt = proxy_correlation(ship_estimates(corpus_a, preds),
-                              proxies_of(corpus_a))
+                              ship_proxies(corpus_a))
     assert r_gbt >= 0.7
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -388,15 +374,16 @@ def test_criterion_10_format_round_trips(rng):
 
     # dataset CSV
     for _ in range(n_cases):
-        rows = []
-        for i in range(int(rng.integers(1, 4))):
-            label = [None, 0, 1][int(rng.integers(0, 3))]
-            rows.append(FeatureRow(group_id=f"{int(rng.integers(1, 999))}_d",
-                                   row=i, col=int(rng.integers(0, 18)),
-                                   features=tuple(rng.normal(size=17)),
-                                   moran_high=float(rng.normal()),
-                                   label=label))
-        text = dataset_to_csv(LabeledDataset(rows=rows))
+        gids, cols, feats, mh, labels = [], [], [], [], []
+        n = int(rng.integers(1, 4))
+        for _ in range(n):
+            labels.append([None, 0, 1][int(rng.integers(0, 3))])
+            gids.append(f"{int(rng.integers(1, 999))}_d")
+            cols.append(int(rng.integers(0, 18)))
+            feats.append(rng.normal(size=17))
+            mh.append(float(rng.normal()))
+        text = dataset_to_csv(columns_dataset(gids, feats, mh, labels,
+                                              cols=cols))
         assert dataset_to_csv(parse_dataset_csv(text)) == text
 
     # model JSON

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from shipplume.cli import main, parse_config_file
+from shipplume.dataset import dataset_header
 from shipplume.fileio import write_atomic
 
 BRIGHT = ["--grid-rows", "70", "--grid-cols", "70",
@@ -12,6 +13,19 @@ BRIGHT = ["--grid-rows", "70", "--grid-cols", "70",
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def revisit_dataset(path):
+    """MMSI 111 on two days, 100 m long: 8 m/s with 2.0 NO2 in its one plume
+    pixel on day 1, 12 m/s with 5.0 on day 2."""
+    lines = [dataset_header()]
+    for date, speed, no2 in (("2019-04-01", 8.0, 2.0),
+                             ("2019-04-02", 12.0, 5.0)):
+        feats = [0.5, no2, 3.0, 0.0, 1.0, speed, 100.0] + [1.0] + [0.0] * 4 \
+            + [1.0] + [0.0] * 4
+        lines.append(f"111_{date},0,0,{','.join(map(str, feats))},0.25,1")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.fixture
@@ -40,6 +54,42 @@ class TestConfig:
 
     def test_bad_flag_value_exits_1(self):
         assert run(["synth", "--n-scenes", "many"]) == 1
+
+
+class TestBadInputs:
+    def test_grid_without_cell_size_exits_1(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("#lat_min=31.5\n#lon_min=19.5\n#n_rows=1\n"
+                        "#n_cols=2\n1.0,2.0\n")
+        assert run(["enhance", "--grid-in", grid,
+                    "--grid-out", tmp_path / "out.csv"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cell_size" in err
+
+    def test_model_json_without_bias_exits_1(self, tmp_path, capsys):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "type": "logistic", "weights": [0.0] * 17,
+            "class_weights": [1.0, 1.0], "feature_mean": [0.0] * 17,
+            "feature_std": [1.0] * 17}))
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--model-file", model,
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bias" in err
+
+    def test_nonfinite_dataset_exits_1(self, tmp_path, capsys):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        dataset.write_text(dataset.read_text().replace(",0.25,", ",nan,", 1))
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--use-labels", "1",
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "line 2" in err
 
 
 class TestWriteAtomic:
@@ -128,6 +178,16 @@ class TestPipelineCommands:
         lines = proxy.read_text().splitlines()
         assert lines[0] == "mmsi,date,no2_sum,e_s"
         assert len(lines) == 5
+
+    def test_proxy_per_ship_day(self, tmp_path):
+        # the same ship on two days gets each day's own L^2 U^3
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        proxy = tmp_path / "proxy.csv"
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--use-labels", "1", "--proxy-file", proxy]) == 0
+        assert proxy.read_text() == ("mmsi,date,no2_sum,e_s\n"
+                                     "111,2019-04-01,2.0,5120000.0\n"
+                                     "111,2019-04-02,5.0,17280000.0\n")
 
     def test_proxy_report_from_model(self, small_corpus, tmp_path):
         dataset = tmp_path / "dataset.csv"

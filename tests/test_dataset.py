@@ -104,14 +104,12 @@ class TestAssemble:
     def test_unlabeled_cardinality(self):
         ds = assemble([tiny_ship_image(n=4)], labels=None)
         assert len(ds.rows) == 4
-        assert all(r.label is None for r in ds.rows)
+        assert all(label == -1 for label in ds.labels)
 
     def test_wind_due_east(self):
         ds = assemble([tiny_ship_image(wind=WindVector(5.0, 0.0))], labels=None)
-        row = ds.rows[0]
-        names = feature_names()
-        assert row.features[names.index("wind_dir_sin")] == pytest.approx(0.0)
-        assert row.features[names.index("wind_dir_cos")] == pytest.approx(1.0)
+        assert ds.column("wind_dir_sin")[0] == pytest.approx(0.0)
+        assert ds.column("wind_dir_cos")[0] == pytest.approx(1.0)
 
     def test_direction_unit_norm(self):
         for wind in (WindVector(0.0, 0.0), WindVector(-3.0, 4.0),
@@ -125,24 +123,25 @@ class TestAssemble:
         ds = assemble([im], labels=labels)
         names = feature_names()
         assert len(ds.rows) == 3
-        for i, row in enumerate(ds.rows):
+        for i, feats in enumerate(ds.X):
             npx = im.normalized[i]
-            assert row.features[names.index("moran_i")] == im.moran.values[npx.row, npx.col]
-            assert row.features[names.index("no2")] == im.crop.values[npx.row, npx.col]
-            assert row.features[names.index("wind_speed")] == im.wind.speed
-            assert row.features[names.index("ship_speed")] == im.info.speed_ms
-            assert row.features[names.index("ship_length")] == im.info.length_m
-            onehot_l = row.features[7:12]
-            onehot_s = row.features[12:17]
+            assert (ds.rows[i], ds.cols[i]) == (npx.row, npx.col)
+            assert feats[names.index("moran_i")] == im.moran.values[npx.row, npx.col]
+            assert feats[names.index("no2")] == im.crop.values[npx.row, npx.col]
+            assert feats[names.index("wind_speed")] == im.wind.speed
+            assert feats[names.index("ship_speed")] == im.info.speed_ms
+            assert feats[names.index("ship_length")] == im.info.length_m
+            onehot_l = feats[7:12]
+            onehot_s = feats[12:17]
             assert sum(onehot_l) == 1.0 and onehot_l[npx.level - 1] == 1.0
             assert sum(onehot_s) == 1.0 and onehot_s[npx.sub_sector - 1] == 1.0
-            assert row.moran_high == im.moran_high.values[npx.row, npx.col]
-        assert [r.label for r in ds.rows] == [1, 0, 0]
+            assert ds.moran_high[i] == im.moran_high.values[npx.row, npx.col]
+        assert ds.labels.tolist() == [1, 0, 0]
         assert ds.class_counts == (2, 1)
 
     def test_feature_vector_length(self):
         ds = assemble([tiny_ship_image()], labels=None)
-        assert all(len(r.features) == 17 for r in ds.rows)
+        assert ds.X.shape == (len(ds.rows), 17)
 
     def test_orphan_label_error(self):
         with pytest.raises(ValueError, match="orphan label"):
@@ -164,11 +163,10 @@ class TestAssemble:
         images = [tiny_ship_image(group_id="9_2019-04-02", mmsi=9),
                   tiny_ship_image(group_id="1_2019-04-01", mmsi=1)]
         ds = assemble(images, labels=None)
-        gids = [r.group_id for r in ds.rows]
+        gids = ds.group_ids.tolist()
         assert gids == sorted(gids)
         for gid in set(gids):
-            rows = [r for r in ds.rows if r.group_id == gid]
-            ship_feats = {tuple(r.features[2:7]) for r in rows}
+            ship_feats = {tuple(f) for f in ds.X[ds.group_ids == gid, 2:7].tolist()}
             assert len(ship_feats) == 1
 
 
@@ -184,7 +182,7 @@ class TestCsvFormats:
         ds = assemble([tiny_ship_image(n=2)], labels=None)
         text = dataset_to_csv(ds)
         back = parse_dataset_csv(text)
-        assert all(r.label is None for r in back.rows)
+        assert all(label == -1 for label in back.labels)
         assert dataset_to_csv(back) == text
 
     def test_labels_round_trip(self):
@@ -193,6 +191,19 @@ class TestCsvFormats:
         text = labels_to_csv(table)
         assert parse_labels_csv(text) == table
         assert labels_to_csv(parse_labels_csv(text)) == text
+
+    def test_dataset_bad_values_rejected_with_line(self):
+        text = dataset_to_csv(assemble([tiny_ship_image(n=3)],
+                                       labels={("1_2019-04-01", 0, 1): 1}))
+        lines = text.splitlines()
+        # fields: group_id,row,col, 17 features (3-19), moran_high (20), label
+        for field, token in ((3, "nan"), (4, "inf"), (20, "-inf"),
+                             (21, "2"), (21, "-1"), (21, "x")):
+            parts = lines[2].split(",")
+            parts[field] = token
+            bad = "\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n"
+            with pytest.raises(ValueError, match="dataset CSV line 3"):
+                parse_dataset_csv(bad)
 
     def test_bad_label_value_rejected(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from shipplume.dataset import FeatureRow, LabeledDataset
-from shipplume.evaluation import (EmissionProxy, ShipEstimate,
+from shipplume.evaluation import (ShipEstimate,
                                   average_precision, emission_proxy,
                                   nested_cv, pearson, pr_curve, pr_metrics,
                                   proxy_correlation, report_to_json,
                                   ship_estimates, split_group_id)
 from shipplume.tracks import ShipInfo
+
+from conftest import columns_dataset
 
 
 def unrolled_ap_oracle(labels, scores):
@@ -34,21 +35,28 @@ def unrolled_ap_oracle(labels, scores):
 
 def grouped_dataset(rng, n_groups=10, rows_per_group=8, d=17,
                     informative=True):
-    rows = []
+    gids, rows, feats, labels = [], [], [], []
     for g in range(n_groups):
         for i in range(rows_per_group):
-            feats = rng.normal(size=d)
+            f = rng.normal(size=d)
             if informative:
-                label = int(feats[0] + 0.5 * rng.normal() > 0.3)
+                label = int(f[0] + 0.5 * rng.normal() > 0.3)
             else:
                 label = int(rng.random() < 0.3)
             if i == 0:
                 label = 1  # every group keeps at least one positive
-            rows.append(FeatureRow(group_id=f"{100 + g}_2019-04-0{g % 9 + 1}",
-                                   row=i, col=0, features=tuple(feats),
-                                   moran_high=float(feats[0] / 2),
-                                   label=label))
-    return LabeledDataset(rows=rows)
+            gids.append(f"{100 + g}_2019-04-0{g % 9 + 1}")
+            rows.append(i)
+            feats.append(f)
+            labels.append(label)
+    feats = np.array(feats)
+    return columns_dataset(gids, feats, feats[:, 0] / 2, labels, rows=rows)
+
+
+def assert_same_oof(a, b):
+    np.testing.assert_array_equal(a.oof_index, b.oof_index)
+    np.testing.assert_array_equal(a.oof_score, b.oof_score)
+    np.testing.assert_array_equal(a.oof_pred, b.oof_pred)
 
 
 class TestPrMetrics:
@@ -133,10 +141,10 @@ class TestNestedCv:
         test_groups = []
         for split in report.splits:
             assert split["kind"] == "outer"
-            gids = {ds.rows[i].group_id for i in split["test_rows"]}
+            gids = set(split["test_groups"])
             assert len(gids) == 1
             test_groups.extend(gids)
-        assert sorted(test_groups) == sorted({r.group_id for r in ds.rows})
+        assert sorted(test_groups) == sorted(set(ds.group_ids.tolist()))
 
     def test_no_group_leakage(self, rng):
         ds = grouped_dataset(rng, n_groups=12)
@@ -145,8 +153,8 @@ class TestNestedCv:
                            base_params={"max_iter": 30})
         assert any(s["kind"] == "inner" for s in report.splits)
         for split in report.splits:
-            tr = {ds.rows[i].group_id for i in split["train_rows"]}
-            te = {ds.rows[i].group_id for i in split["test_rows"]}
+            tr = set(split["train_groups"])
+            te = set(split["test_groups"])
             assert not tr & te
 
     def test_single_candidate_equals_plain_cv(self, rng):
@@ -157,7 +165,7 @@ class TestNestedCv:
         # metrics whether or not a search nominally runs
         assert a.folds == b.folds
         assert a.summary == b.summary
-        assert a.pooled == b.pooled
+        assert_same_oof(a, b)
 
     def test_seed_determinism(self, rng):
         ds = grouped_dataset(rng, n_groups=10)
@@ -166,14 +174,14 @@ class TestNestedCv:
         b = nested_cv(ds, "gbt", n_outer=3, n_inner=2, n_candidates=2, seed=11,
                       base_params={"n_trees": 5})
         assert report_to_json(a) == report_to_json(b)
-        assert a.pooled == b.pooled
+        assert_same_oof(a, b)
 
     def test_pooled_curve_from_concatenated_scores(self, rng):
         ds = grouped_dataset(rng, n_groups=8)
         report = nested_cv(ds, "logistic", n_outer=4, n_candidates=1, seed=2,
                            base_params={"max_iter": 50})
-        scores = [p["score"] for p in report.pooled]
-        labels = [p["label"] for p in report.pooled]
+        scores = report.oof_score
+        labels = ds.labels[report.oof_index]
         assert report.pr_points == pr_curve(labels, scores)
 
     def test_too_few_groups(self, rng):
@@ -186,7 +194,7 @@ class TestNestedCv:
         report = nested_cv(ds, "no2", n_outer=5, n_candidates=1, seed=1)
         sizes = []
         for split in report.splits:
-            sizes.append(len({ds.rows[i].group_id for i in split["test_rows"]}))
+            sizes.append(len(set(split["test_groups"])))
         assert max(sizes) - min(sizes) <= 1
 
     def test_report_json_fields(self, rng):
@@ -218,15 +226,15 @@ class TestEmissionProxy:
 
 
 def estimate_dataset(values_by_group):
-    rows = []
+    gids, rows, no2 = [], [], []
     for gid, values in values_by_group.items():
-        for i, v in enumerate(values):
-            feats = [0.0] * 17
-            feats[1] = v
-            rows.append(FeatureRow(group_id=gid, row=i, col=0,
-                                   features=tuple(feats), moran_high=0.0,
-                                   label=None))
-    return LabeledDataset(rows=rows)
+        gids += [gid] * len(values)
+        rows += range(len(values))
+        no2 += values
+    X = np.zeros((len(gids), 17))
+    X[:, 1] = no2
+    return columns_dataset(gids, X, np.zeros(len(gids)), [None] * len(gids),
+                           rows=rows)
 
 
 class TestShipEstimates:
@@ -238,33 +246,43 @@ class TestShipEstimates:
         assert est[0] == ShipEstimate(1, "2019-04-01", 5.0, 2)
         assert est[1] == ShipEstimate(2, "2019-04-01", 0.0, 0)
 
+    def test_running_sum_oracle(self, rng):
+        # per-group totals equal a running sum over the rows, bit for bit
+        ds = estimate_dataset({f"{g}_d": rng.normal(size=int(rng.integers(1, 40)))
+                               .tolist() for g in range(8)})
+        preds = rng.integers(0, 2, size=len(ds.rows))
+        expect: dict[str, float] = {}
+        for gid, v, p in zip(ds.group_ids.tolist(), ds.X[:, 1].tolist(),
+                             preds.tolist()):
+            expect[gid] = expect.get(gid, 0.0) + (v if p else 0.0)
+        est = ship_estimates(ds, preds)
+        assert {e.group_id: e.no2_sum for e in est} == expect
+
     def test_split_group_id(self):
         assert split_group_id("12345_2019-07-01") == (12345, "2019-07-01")
 
     def test_proportional_estimates_give_r1(self):
         est = [ShipEstimate(i, "d", 2.5 * e, 3) for i, e in
                enumerate([1.0, 2.0, 5.0, 9.0])]
-        proxies = [EmissionProxy(i, e) for i, e in
-                   enumerate([1.0, 2.0, 5.0, 9.0])]
+        proxies = {f"{i}_d": e for i, e in enumerate([1.0, 2.0, 5.0, 9.0])}
         assert proxy_correlation(est, proxies) == pytest.approx(1.0)
 
     def test_constant_estimates_zero_variance(self):
         est = [ShipEstimate(i, "d", 3.0, 1) for i in range(4)]
-        proxies = [EmissionProxy(i, float(i + 1)) for i in range(4)]
+        proxies = {f"{i}_d": float(i + 1) for i in range(4)}
         with pytest.raises(ValueError, match="zero variance"):
             proxy_correlation(est, proxies)
 
     def test_zero_prediction_ships_excluded(self):
         est = [ShipEstimate(0, "d", 1.0, 2), ShipEstimate(1, "d", 2.0, 1),
                ShipEstimate(2, "d", 99.0, 0)]
-        proxies = [EmissionProxy(0, 1.0), EmissionProxy(1, 2.0),
-                   EmissionProxy(2, 50.0)]
+        proxies = {"0_d": 1.0, "1_d": 2.0, "2_d": 50.0}
         assert proxy_correlation(est, proxies) == pytest.approx(1.0)
 
     def test_insufficient_ships(self):
         est = [ShipEstimate(0, "d", 1.0, 2)]
         with pytest.raises(ValueError, match="insufficient ships"):
-            proxy_correlation(est, [EmissionProxy(0, 1.0)])
+            proxy_correlation(est, {"0_d": 1.0})
 
     def test_two_pass_pearson_oracle(self, rng):
         for _ in range(30):

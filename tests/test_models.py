@@ -2,27 +2,23 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from shipplume.dataset import FEATURE_BASE, FeatureRow, LabeledDataset
+from shipplume.dataset import FEATURE_BASE
 from shipplume.models import (LogisticModel, ThresholdModel,
-                              class_weight_pair, eval_tree, fit_gbt,
-                              fit_gbt_arrays, fit_logistic,
-                              fit_logistic_arrays, fit_threshold,
+                              class_weight_pair, eval_tree, fit_family,
+                              fit_gbt_arrays, fit_logistic_arrays,
                               fit_threshold_values, leaf_value,
                               logistic_loss_grad, model_to_json,
                               parse_model_json, predict_labels, predict_scores,
                               standardize_fit)
 
+from conftest import columns_dataset
+
 
 def dataset_from_arrays(X, y, moran_high=None):
-    X = np.asarray(X, dtype=float)
-    rows = []
-    for i in range(len(X)):
-        rows.append(FeatureRow(group_id=f"g{i % 5}", row=i, col=0,
-                               features=tuple(X[i]),
-                               moran_high=0.0 if moran_high is None
-                               else float(moran_high[i]),
-                               label=int(y[i])))
-    return LabeledDataset(rows=rows)
+    n = len(X)
+    return columns_dataset([f"g{i % 5}" for i in range(n)], X,
+                           np.zeros(n) if moran_high is None else moran_high,
+                           [int(v) for v in y])
 
 
 def random_features(rng, n, d=17):
@@ -91,7 +87,7 @@ class TestFitThreshold:
         y[0], y[1] = 0, 1
         mh = rng.normal(size=30)
         ds = dataset_from_arrays(X, y, mh)
-        m = fit_threshold(ds, "moran_on_high")
+        m = fit_family("moran-high", ds.X, ds.labels, ds.moran_high)
         assert m.feature == "moran_on_high"
         assert m.threshold == fit_threshold_values(mh, y)
 
@@ -329,9 +325,10 @@ class TestPrediction:
         y = rng.integers(0, 2, size=40)
         y[0], y[1] = 0, 1
         ds = dataset_from_arrays(X, y, rng.normal(size=40))
-        m = fit_gbt(ds, {"n_trees": 4}, seed=0)
-        a = predict_scores(m, ds)
-        b = predict_scores(m, ds)
+        m = fit_family("gbt", ds.X, ds.labels, ds.moran_high,
+                       {"n_trees": 4}, seed=0)
+        a = predict_scores(m, ds.X, ds.moran_high)
+        b = predict_scores(m, ds.X, ds.moran_high)
         np.testing.assert_array_equal(a, b)
 
 
@@ -345,7 +342,9 @@ class TestModelJson:
         X = random_features(rng, 30, d=17)
         y = rng.integers(0, 2, size=30)
         y[0], y[1] = 0, 1
-        m = fit_logistic(dataset_from_arrays(X, y), max_iter=50)
+        ds = dataset_from_arrays(X, y)
+        m = fit_family("logistic", ds.X, ds.labels, ds.moran_high,
+                       {"max_iter": 50})
         text = model_to_json(m)
         again = parse_model_json(text)
         assert model_to_json(again) == text
@@ -356,7 +355,9 @@ class TestModelJson:
         X = random_features(rng, 50, d=17)
         y = rng.integers(0, 2, size=50)
         y[0], y[1] = 0, 1
-        m = fit_gbt(dataset_from_arrays(X, y), {"n_trees": 3}, seed=1)
+        ds = dataset_from_arrays(X, y)
+        m = fit_family("gbt", ds.X, ds.labels, ds.moran_high,
+                       {"n_trees": 3}, seed=1)
         text = model_to_json(m)
         again = parse_model_json(text)
         assert model_to_json(again) == text
