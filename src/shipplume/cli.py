@@ -51,7 +51,6 @@ KEYS: dict[str, tuple[type, object, str]] = {
     "track-step-s": (float, 300.0, "track resampling step (s)"),
     "wind-dspeed": (float, 5.0, "wind speed uncertainty margin (m/s)"),
     "wind-dangle": (float, 40.0, "wind direction uncertainty margin (deg)"),
-    "target-angle": (float, 320.0, "normalized sector orientation (deg)"),
     "n-levels": (int, 5, "radial sub-regions of the normalized sector"),
     "n-subsectors": (int, 5, "angular sub-regions of the normalized sector"),
     "min-speed-kt": (float, 14.0, "keep ships strictly faster than this"),
@@ -134,7 +133,6 @@ def pipeline_params(cfg: dict) -> PipelineParams:
                           window_s=cfg["track-window-s"],
                           step_s=cfg["track-step-s"],
                           dspeed=cfg["wind-dspeed"], dangle=cfg["wind-dangle"],
-                          target_angle=cfg["target-angle"],
                           n_levels=cfg["n-levels"],
                           n_subsectors=cfg["n-subsectors"],
                           min_speed_kt=cfg["min-speed-kt"],

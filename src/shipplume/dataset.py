@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridImage, fmt_float
-from .sector import NormalizedPixel, ShipSector
+from .sector import ShipSector
 from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
 
 FEATURE_BASE = ("moran_i", "no2", "wind_speed", "wind_dir_sin", "wind_dir_cos",
@@ -72,8 +72,9 @@ class ShipImage:
     moran: GridImage
     moran_high: GridImage
     sector: ShipSector
-    pixels: list[tuple[int, int]]
-    normalized: list[NormalizedPixel]
+    pixels: np.ndarray       # (n, 2) int, (row, col) of each sector pixel
+    level: np.ndarray        # (n,) int, radial bin of each pixel, from 1
+    sub_sector: np.ndarray   # (n,) int, angular bin of each pixel, from 1
 
 
 def select_ships(candidates: list[tuple[ShipInfo, Track]],
@@ -141,20 +142,18 @@ def assemble(images: list[ShipImage],
     X_parts = [np.zeros((0, n_feat))]
     mh_parts = [np.zeros(0)]
     for im in sorted(images, key=lambda im: im.group_id):
-        pix = im.normalized
-        r = np.array([p.row for p in pix], dtype=int)
-        c = np.array([p.col for p in pix], dtype=int)
-        X = np.zeros((len(pix), n_feat))
+        r, c = im.pixels.T
+        X = np.zeros((len(r), n_feat))
         X[:, 0] = im.moran.values[r, c]
         X[:, 1] = im.crop.values[r, c]
         X[:, 2:n_base] = (im.wind.speed, *wind_direction_features(im.wind),
                           im.info.speed_ms, im.info.length_m)
-        at = np.arange(len(pix))
-        X[at, [n_base - 1 + p.level for p in pix]] = 1.0
-        X[at, [n_base + n_levels - 1 + p.sub_sector for p in pix]] = 1.0
+        at = np.arange(len(r))
+        X[at, n_base - 1 + im.level] = 1.0
+        X[at, n_base + n_levels - 1 + im.sub_sector] = 1.0
         X_parts.append(X)
         mh_parts.append(im.moran_high.values[r, c])
-        keys += [(im.group_id, p.row, p.col) for p in pix]
+        keys += [(im.group_id, row, col) for row, col in im.pixels.tolist()]
     if labels is None:
         y = np.full(len(keys), -1)
     else:

@@ -363,17 +363,22 @@ def parse_model_json(text: str):
         return _model_from_obj(json.loads(text))
     except KeyError as exc:
         raise ValueError(f"model JSON missing key: {exc.args[0]}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model JSON: {exc}") from None
 
 
 def _model_from_obj(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValueError("model JSON must be an object")
     kind = obj.get("type")
     if kind == "threshold":
         return ThresholdModel(feature=obj["feature"], threshold=obj["threshold"])
     if kind == "logistic":
+        if len(obj["class_weights"]) != 2:
+            raise ValueError("model JSON class_weights must have 2 entries")
         return LogisticModel(weights=np.array(obj["weights"], dtype=float),
                              bias=float(obj["bias"]),
-                             class_weights=(obj["class_weights"][0],
-                                            obj["class_weights"][1]),
+                             class_weights=tuple(obj["class_weights"]),
                              feature_mean=np.array(obj["feature_mean"], dtype=float),
                              feature_std=np.array(obj["feature_std"], dtype=float))
     if kind == "gbt":

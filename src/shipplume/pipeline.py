@@ -31,7 +31,6 @@ class PipelineParams:
     step_s: float = 300.0
     dspeed: float = 5.0
     dangle: float = 40.0
-    target_angle: float = 320.0
     n_levels: int = 5
     n_subsectors: int = 5
     min_speed_kt: float = 14.0
@@ -121,20 +120,20 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
             enhanced_high = moran_on_high(cimg)
             sec = _sector(track, wind, t_overpass, params)
             pixels = pixels_in_sector(sec, cimg)
-            if not pixels:
+            if len(pixels) == 0:
                 skip("empty sector")
                 continue
-            norm = normalize(sec, pixels, cimg,
-                             target_angle=params.target_angle,
-                             n_levels=params.n_levels,
-                             n_subsectors=params.n_subsectors)
+            level, sub_sector = normalize(sec, pixels, cimg,
+                                          n_levels=params.n_levels,
+                                          n_subsectors=params.n_subsectors)
         except ValueError as exc:
             skip(str(exc))
             continue
         images.append(ShipImage(group_id=group_id_for(info.mmsi, t_overpass),
                                 info=info, wind=wind, crop=cimg,
                                 moran=enhanced, moran_high=enhanced_high,
-                                sector=sec, pixels=pixels, normalized=norm))
+                                sector=sec, pixels=pixels, level=level,
+                                sub_sector=sub_sector))
     return images, skipped
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridImage, M_PER_DEG_LAT
-from .tracks import Track, WindShiftedTrack
+from .tracks import Track
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,6 @@ class ShipSector:
     polygon: tuple[tuple[float, float], ...]       # (lat, lon) vertices, implicitly closed
     reference_angle: float                         # deg, mean drift direction at the origin
     angle_half_width: float = 40.0                 # deg, angular half-span of the wedge
-
-
-@dataclass(frozen=True)
-class NormalizedPixel:
-    row: int
-    col: int
-    x_norm: float
-    y_norm: float
-    radius_norm: float
-    angle_in_sector: float
-    level: int
-    sub_sector: int
 
 
 def local_xy(origin: tuple[float, float], lats: np.ndarray, lons: np.ndarray,
@@ -81,8 +69,7 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def build_sector(ship_track: Track, ext_left: WindShiftedTrack,
-                 ext_right: WindShiftedTrack,
+def build_sector(ship_track: Track, ext_left: Track, ext_right: Track,
                  angle_half_width: float = 40.0) -> ShipSector:
     """Close the plume search region into a simple polygon anchored at the
     ship's overpass position.
@@ -164,17 +151,14 @@ def _points_in_polygon(plat: np.ndarray, plon: np.ndarray,
     return inside | on_edge
 
 
-def pixels_in_sector(sector: ShipSector, image: GridImage) -> list[tuple[int, int]]:
-    """Valid cells whose centers lie inside or on the sector polygon,
-    in row-major order."""
+def pixels_in_sector(sector: ShipSector, image: GridImage) -> np.ndarray:
+    """(row, col) of the valid cells whose centers lie inside or on the
+    sector polygon, as an (n, 2) int array in row-major order."""
     spec = image.spec
-    lat_c = spec.lat_centers()
-    lon_c = spec.lon_centers()
-    glat, glon = np.meshgrid(lat_c, lon_c, indexing="ij")
+    glat, glon = np.meshgrid(spec.lat_centers(), spec.lon_centers(),
+                             indexing="ij")
     member = _points_in_polygon(glat.ravel(), glon.ravel(), sector.polygon)
-    member = member.reshape(spec.n_rows, spec.n_cols) & image.valid
-    rows, cols = np.nonzero(member)
-    return [(int(r), int(c)) for r, c in zip(rows, cols)]
+    return np.argwhere(member.reshape(spec.n_rows, spec.n_cols) & image.valid)
 
 
 def _wrap_deg(a: np.ndarray) -> np.ndarray:
@@ -183,14 +167,14 @@ def _wrap_deg(a: np.ndarray) -> np.ndarray:
 
 
 def normalize_points(sector: ShipSector, lats: np.ndarray, lons: np.ndarray,
-                     target_angle: float = 320.0, n_levels: int = 5,
-                     n_subsectors: int = 5) -> dict[str, np.ndarray]:
-    """Normalized-sector coordinates for arbitrary points.
+                     n_levels: int = 5, n_subsectors: int = 5,
+                     ) -> dict[str, np.ndarray]:
+    """Normalized-sector coordinates and bins for arbitrary points.
 
-    Points are projected to meters about the origin, rotated so the sector's
-    reference direction lands on target_angle, then min-max rescaled per axis.
-    radius_norm is the polar radius over the maximum radius in the set;
-    angle_in_sector maps the wedge's angular span onto [0, 1].
+    radius_norm is the polar radius about the origin (in meters) over the
+    maximum radius in the set; angle_in_sector maps the wedge's angular span
+    about the reference direction onto [0, 1]. level and sub_sector bin them
+    into n_levels radial and n_subsectors angular sub-regions, from 1.
     """
     lats = np.atleast_1d(np.asarray(lats, dtype=float))
     lons = np.atleast_1d(np.asarray(lons, dtype=float))
@@ -200,8 +184,7 @@ def normalize_points(sector: ShipSector, lats: np.ndarray, lons: np.ndarray,
 
     r = np.hypot(x, y)
     rmax = float(r.max())
-    single = lats.size == 1
-    if single or rmax == 0.0:
+    if lats.size == 1 or rmax == 0.0:
         radius_norm = np.zeros_like(r)
     else:
         radius_norm = r / rmax
@@ -211,51 +194,24 @@ def normalize_points(sector: ShipSector, lats: np.ndarray, lons: np.ndarray,
     half = sector.angle_half_width
     angle_in_sector = np.clip((delta + half) / (2.0 * half), 0.0, 1.0)
 
-    rot = math.radians(target_angle - sector.reference_angle)
-    xr = x * math.cos(rot) - y * math.sin(rot)
-    yr = x * math.sin(rot) + y * math.cos(rot)
-
-    def _minmax(a: np.ndarray) -> np.ndarray:
-        lo, hi = float(a.min()), float(a.max())
-        if single or hi == lo:
-            return np.full_like(a, 0.5)
-        return (a - lo) / (hi - lo)
-
     level = np.minimum(n_levels, 1 + np.floor(radius_norm * n_levels).astype(int))
     sub = np.minimum(n_subsectors,
                      1 + np.floor(angle_in_sector * n_subsectors).astype(int))
-    return {
-        "x_norm": _minmax(xr),
-        "y_norm": _minmax(yr),
-        "radius_norm": radius_norm,
-        "angle_in_sector": angle_in_sector,
-        "level": level,
-        "sub_sector": sub,
-        "x_m": x,
-        "y_m": y,
-        "x_rot_m": xr,
-        "y_rot_m": yr,
-    }
+    return {"radius_norm": radius_norm, "angle_in_sector": angle_in_sector,
+            "level": level, "sub_sector": sub}
 
 
-def normalize(sector: ShipSector, pixels: list[tuple[int, int]], image: GridImage,
-              target_angle: float = 320.0, n_levels: int = 5,
-              n_subsectors: int = 5) -> list[NormalizedPixel]:
-    """Normalized-sector coordinates and level/sub-sector bins for grid pixels."""
-    if not pixels:
+def normalize(sector: ShipSector, pixels: np.ndarray, image: GridImage,
+              n_levels: int = 5, n_subsectors: int = 5,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(level, sub_sector) bins of the grid pixels given as (row, col) rows."""
+    if len(pixels) == 0:
         raise ValueError("no pixels to normalize")
-    centers = [image.spec.cell_center(r, c) for r, c in pixels]
-    lats = np.array([p[0] for p in centers])
-    lons = np.array([p[1] for p in centers])
-    nd = normalize_points(sector, lats, lons, target_angle, n_levels, n_subsectors)
-    return [NormalizedPixel(row=r, col=c,
-                            x_norm=float(nd["x_norm"][i]),
-                            y_norm=float(nd["y_norm"][i]),
-                            radius_norm=float(nd["radius_norm"][i]),
-                            angle_in_sector=float(nd["angle_in_sector"][i]),
-                            level=int(nd["level"][i]),
-                            sub_sector=int(nd["sub_sector"][i]))
-            for i, (r, c) in enumerate(pixels)]
+    spec = image.spec
+    nd = normalize_points(sector, spec.lat_centers()[pixels[:, 0]],
+                          spec.lon_centers()[pixels[:, 1]], n_levels,
+                          n_subsectors)
+    return nd["level"], nd["sub_sector"]
 
 
 def sectors_to_geojson(sectors: list[ShipSector]) -> str:

@@ -312,9 +312,9 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
         mask = mask_by_mmsi[im.info.mmsi]
         off_r = round((im.crop.spec.lat_min - spec.lat_min) / spec.cell_size)
         off_c = round((im.crop.spec.lon_min - spec.lon_min) / spec.cell_size)
-        for r, c in im.pixels:
-            if mask[off_r + r, off_c + c]:
-                labels[(im.group_id, r, c)] = 1
+        plume = mask[off_r + im.pixels[:, 0], off_c + im.pixels[:, 1]]
+        for r, c in im.pixels[plume].tolist():
+            labels[(im.group_id, r, c)] = 1
     write_atomic(paths["labels"], labels_to_csv(labels))
     return paths
 

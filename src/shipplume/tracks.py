@@ -48,19 +48,17 @@ class TrackPoint:
     lon: float
 
 
-def _check_increasing(points: tuple[TrackPoint, ...]) -> None:
-    for a, b in zip(points, points[1:]):
-        if b.timestamp <= a.timestamp:
-            raise ValueError("track timestamps must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class Track:
+    """A ship track, or a wind-shifted copy of one (same timestamps)."""
+
     mmsi: int
     points: tuple[TrackPoint, ...]
 
     def __post_init__(self) -> None:
-        _check_increasing(self.points)
+        for a, b in zip(self.points, self.points[1:]):
+            if b.timestamp <= a.timestamp:
+                raise ValueError("track timestamps must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,6 @@ class WindVector:
     @property
     def speed(self) -> float:
         return math.hypot(self.u, self.v)
-
-
-@dataclass(frozen=True)
-class WindShiftedTrack:
-    mmsi: int
-    points: tuple[TrackPoint, ...]
-
-    def __post_init__(self) -> None:
-        _check_increasing(self.points)
 
 
 def clean_records(records: list[AISRecord]) -> list[AISRecord]:
@@ -141,14 +130,14 @@ def interpolate_track(records: list[AISRecord], t_overpass: float,
     return Track(mmsi, tuple(pts))
 
 
-def mean_position(track: Track | WindShiftedTrack) -> tuple[float, float]:
+def mean_position(track: Track) -> tuple[float, float]:
     """Mean (lat, lon) of the track points."""
     lats = [p.lat for p in track.points]
     lons = [p.lon for p in track.points]
     return sum(lats) / len(lats), sum(lons) / len(lons)
 
 
-def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> WindShiftedTrack:
+def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> Track:
     """Advect every track point downwind by its age at overpass time.
 
     A point at time t moves by wind * (t_overpass - t); the point at overpass
@@ -163,12 +152,12 @@ def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> WindShifted
         lat = p.lat + wind.v * dt / M_PER_DEG_LAT
         lon = p.lon + wind.u * dt / (M_PER_DEG_LAT * math.cos(math.radians(p.lat)))
         pts.append(TrackPoint(p.timestamp, lat, lon))
-    return WindShiftedTrack(track.mmsi, tuple(pts))
+    return Track(track.mmsi, tuple(pts))
 
 
 def extreme_tracks(track: Track, wind: WindVector, t_overpass: float,
                    dspeed: float = 5.0, dangle: float = 40.0,
-                   ) -> tuple[WindShiftedTrack, WindShiftedTrack]:
+                   ) -> tuple[Track, Track]:
     """Wind-shifted tracks under worst-case wind uncertainty: the wind speed is
     increased by dspeed and the direction rotated by +dangle and -dangle
     (positive = counterclockwise). The two results bound the plume position.
@@ -184,6 +173,32 @@ def extreme_tracks(track: Track, wind: WindVector, t_overpass: float,
 
 # --- file formats ---------------------------------------------------------
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def _parse_rows(text: str, header: str, kind: str, convert) -> list:
+    """convert(fields) for every data line of a CSV with the given header;
+    any error names the file kind and the line number."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"bad {kind} CSV header")
+    n_fields = header.count(",") + 1
+    out = []
+    for k, ln in lines[1:]:
+        fields = ln.split(",")
+        try:
+            if len(fields) != n_fields:
+                raise ValueError("wrong field count")
+            out.append(convert(fields))
+        except ValueError as exc:
+            raise ValueError(f"{kind} CSV line {k}: {exc}") from None
+    return out
+
+
 AIS_HEADER = "mmsi,timestamp,lat,lon,speed_kt,heading_deg"
 
 
@@ -196,15 +211,8 @@ def ais_to_csv(records: list[AISRecord]) -> str:
 
 
 def parse_ais_csv(text: str) -> list[AISRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != AIS_HEADER:
-        raise ValueError("bad AIS CSV header")
-    out = []
-    for ln in lines[1:]:
-        mmsi, ts, lat, lon, sp, hd = ln.split(",")
-        out.append(AISRecord(int(mmsi), float(ts), float(lat), float(lon),
-                             float(sp), float(hd)))
-    return out
+    return _parse_rows(text, AIS_HEADER, "AIS",
+                       lambda f: AISRecord(int(f[0]), *map(_finite, f[1:])))
 
 
 @dataclass(frozen=True)
@@ -228,14 +236,8 @@ def wind_to_csv(samples: list[WindSample]) -> str:
 
 
 def parse_wind_csv(text: str) -> list[WindSample]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != WIND_HEADER:
-        raise ValueError("bad wind CSV header")
-    out = []
-    for ln in lines[1:]:
-        ts, lat, lon, u, v = (float(tok) for tok in ln.split(","))
-        out.append(WindSample(ts, lat, lon, u, v))
-    return out
+    return _parse_rows(text, WIND_HEADER, "wind",
+                       lambda f: WindSample(*map(_finite, f)))
 
 
 REGISTRY_HEADER = "mmsi,length_m"
@@ -248,15 +250,16 @@ def registry_to_csv(entries: list[tuple[int, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _registry_entry(fields: list[str]) -> tuple[int, float]:
+    length = _finite(fields[1])
+    if length <= 0:
+        raise ValueError("length_m must be > 0")
+    return int(fields[0]), length
+
+
 def parse_registry_csv(text: str) -> dict[int, float]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != REGISTRY_HEADER:
-        raise ValueError("bad ship registry CSV header")
-    out: dict[int, float] = {}
-    for ln in lines[1:]:
-        mmsi, length = ln.split(",")
-        out[int(mmsi)] = float(length)
-    return out
+    return dict(_parse_rows(text, REGISTRY_HEADER, "ship registry",
+                            _registry_entry))
 
 
 def lookup_wind(samples: list[WindSample], t: float, lat: float, lon: float) -> WindVector:

@@ -81,6 +81,27 @@ class TestBadInputs:
         assert len(err.strip().splitlines()) == 1
         assert "bias" in err
 
+    @pytest.mark.parametrize("model_json, message", [
+        ("[]", "must be an object"),
+        (json.dumps({"type": "logistic", "weights": [0.0] * 17, "bias": 0.0,
+                     "class_weights": [1.0], "feature_mean": [0.0] * 17,
+                     "feature_std": [1.0] * 17}), "class_weights"),
+        (json.dumps({"type": "logistic", "weights": [0.0] * 17, "bias": 0.0,
+                     "class_weights": 5, "feature_mean": [0.0] * 17,
+                     "feature_std": [1.0] * 17}), "malformed model JSON"),
+    ], ids=["top_level_array", "one_class_weight", "scalar_class_weights"])
+    def test_malformed_model_json_exits_1(self, tmp_path, capsys, model_json,
+                                          message):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        model = tmp_path / "model.json"
+        model.write_text(model_json)
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--model-file", model,
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+
     def test_nonfinite_dataset_exits_1(self, tmp_path, capsys):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
         dataset.write_text(dataset.read_text().replace(",0.25,", ",nan,", 1))

@@ -9,7 +9,7 @@ from shipplume.dataset import (FEATURE_BASE, ShipImage,
                                parse_labels_csv, select_ships,
                                wind_direction_features)
 from shipplume.grid import GridImage, GridSpec
-from shipplume.sector import NormalizedPixel, ShipSector
+from shipplume.sector import ShipSector
 from shipplume.tracks import KNOT_MS, ShipInfo, Track, TrackPoint, WindVector
 
 T0 = 1554120000.0
@@ -86,18 +86,15 @@ def tiny_ship_image(group_id="1_2019-04-01", mmsi=1, wind=WindVector(3.0, 0.0),
     high_img = GridImage(spec, np.full(shape, moran_value / 2), np.ones(shape, bool))
     if bad_pixel is not None:
         moran_img.values[bad_pixel] = np.nan
-    pixels = [(r, 1) for r in range(n)]
-    normalized = [NormalizedPixel(row=r, col=1, x_norm=0.1 * r, y_norm=0.2,
-                                  radius_norm=r / max(n - 1, 1),
-                                  angle_in_sector=0.5,
-                                  level=min(5, r + 1), sub_sector=3)
-                  for r in range(n)]
+    pixels = np.array([(r, 1) for r in range(n)], dtype=int).reshape(-1, 2)
+    level = np.minimum(5, np.arange(n) + 1)
+    sub_sector = np.full(n, 3)
     sector = ShipSector(mmsi, (31.6, 19.6),
                         ((31.6, 19.6), (31.9, 19.6), (31.9, 19.9)), 0.0)
     info = ShipInfo(mmsi=mmsi, length_m=180.0, speed_ms=8.0)
     return ShipImage(group_id=group_id, info=info, wind=wind, crop=crop_img,
                      moran=moran_img, moran_high=high_img, sector=sector,
-                     pixels=pixels, normalized=normalized)
+                     pixels=pixels, level=level, sub_sector=sub_sector)
 
 
 class TestAssemble:
@@ -124,18 +121,18 @@ class TestAssemble:
         names = feature_names()
         assert len(ds.rows) == 3
         for i, feats in enumerate(ds.X):
-            npx = im.normalized[i]
-            assert (ds.rows[i], ds.cols[i]) == (npx.row, npx.col)
-            assert feats[names.index("moran_i")] == im.moran.values[npx.row, npx.col]
-            assert feats[names.index("no2")] == im.crop.values[npx.row, npx.col]
+            r, c = im.pixels[i]
+            assert (ds.rows[i], ds.cols[i]) == (r, c)
+            assert feats[names.index("moran_i")] == im.moran.values[r, c]
+            assert feats[names.index("no2")] == im.crop.values[r, c]
             assert feats[names.index("wind_speed")] == im.wind.speed
             assert feats[names.index("ship_speed")] == im.info.speed_ms
             assert feats[names.index("ship_length")] == im.info.length_m
             onehot_l = feats[7:12]
             onehot_s = feats[12:17]
-            assert sum(onehot_l) == 1.0 and onehot_l[npx.level - 1] == 1.0
-            assert sum(onehot_s) == 1.0 and onehot_s[npx.sub_sector - 1] == 1.0
-            assert ds.moran_high[i] == im.moran_high.values[npx.row, npx.col]
+            assert sum(onehot_l) == 1.0 and onehot_l[im.level[i] - 1] == 1.0
+            assert sum(onehot_s) == 1.0 and onehot_s[im.sub_sector[i] - 1] == 1.0
+            assert ds.moran_high[i] == im.moran_high.values[r, c]
         assert ds.labels.tolist() == [1, 0, 0]
         assert ds.class_counts == (2, 1)
 

@@ -11,6 +11,9 @@ from shipplume.synth import (SceneConfig, expected_deposit_fraction,
                              generate_corpus, generate_scene, scene_to_inputs)
 from shipplume.tracks import WindVector
 
+import geometry_oracle as geo
+from test_sector import lonlat
+
 BIG_GRID = GridSpec(lat_min=31.0, lon_min=19.0, cell_size=0.045,
                     n_rows=80, n_cols=80)
 
@@ -87,7 +90,6 @@ class TestGenerateScene:
             generate_scene(quiet_config(grid=tiny, margin_deg=1.0))
 
     def test_mask_inside_default_sector_with_dilation(self, tmp_path):
-        shapely = pytest.importorskip("shapely.geometry")
         config = quiet_config(n_ships=2, margin_deg=0.8, noise_std=1.0,
                               emission_scale=2e-6)
         scene = generate_scene(config)
@@ -100,12 +102,11 @@ class TestGenerateScene:
         by_mmsi = {info.mmsi: i for i, (info, _, _) in enumerate(scene.ships)}
         for im in images:
             mask = scene.truth.masks[by_mmsi[im.info.mmsi]]
-            poly = shapely.Polygon([(p[1], p[0]) for p in im.sector.polygon])
-            dilated = poly.buffer(cell_deg)
+            poly = lonlat(im.sector.polygon)
             rows, cols = np.nonzero(mask)
             for r, c in zip(rows, cols):
                 lat, lon = spec.cell_center(int(r), int(c))
-                assert dilated.covers(shapely.Point(lon, lat))
+                assert geo.distance(poly, lon, lat) <= cell_deg
 
 
 class TestSceneToInputs:
@@ -120,7 +121,6 @@ class TestSceneToInputs:
         assert again == grid_text
 
     def test_labels_match_mask_sector_oracle(self, tmp_path):
-        shapely = pytest.importorskip("shapely.geometry")
         scene = generate_scene(quiet_config(n_ships=2, margin_deg=0.8,
                                             emission_scale=2e-6))
         paths = scene_to_inputs(scene, tmp_path / "scene")
@@ -135,14 +135,14 @@ class TestSceneToInputs:
         expect = set()
         for im in images:
             mask = scene.truth.masks[by_mmsi[im.info.mmsi]]
-            poly = shapely.Polygon([(p[1], p[0]) for p in im.sector.polygon])
+            poly = lonlat(im.sector.polygon)
             off_r = round((im.crop.spec.lat_min - spec.lat_min) / spec.cell_size)
             off_c = round((im.crop.spec.lon_min - spec.lon_min) / spec.cell_size)
             for r in range(im.crop.spec.n_rows):
                 for c in range(im.crop.spec.n_cols):
                     lat, lon = im.crop.spec.cell_center(r, c)
                     if mask[off_r + r, off_c + c] and \
-                            poly.covers(shapely.Point(lon, lat)):
+                            geo.covers(poly, lon, lat):
                         expect.add((im.group_id, r, c))
         assert set(labels) == expect
 

@@ -180,6 +180,33 @@ class TestCsvFormats:
         parsed = parse_registry_csv(text)
         assert registry_to_csv(sorted(parsed.items())) == text
 
+    def test_ais_bad_rows_rejected_with_line(self):
+        text = ais_to_csv(straight_records()[:1])
+        for bad, message in (("1,1554120000,nan,20,16,90", "non-finite"),
+                             ("1,1554120000,32,20,inf,90", "non-finite"),
+                             ("1,1554120000,32,20,16,90,0", "wrong field count"),
+                             ("x1,1554120000,32,20,16,90", "invalid literal")):
+            with pytest.raises(ValueError, match=f"^AIS CSV line 3: {message}"):
+                parse_ais_csv(text + bad + "\n")
+
+    def test_wind_bad_rows_rejected_with_line(self):
+        text = wind_to_csv([WindSample(T0, 31.5, 19.5, 3.25, -1.5)])
+        for bad, message in (("1554120000,31.5,19.5,nan,-1.5", "non-finite"),
+                             ("1554120000,31.5,19.5,3.25", "wrong field count")):
+            with pytest.raises(ValueError,
+                               match=f"^wind CSV line 3: {message}"):
+                parse_wind_csv(text + bad + "\n")
+
+    def test_registry_bad_rows_rejected_with_line(self):
+        text = registry_to_csv([(123, 180.0)])
+        for bad, message in (("456,nan", "non-finite"),
+                             ("456,-5", "length_m must be > 0"),
+                             ("456,0", "length_m must be > 0"),
+                             ("456,180,1", "wrong field count")):
+            with pytest.raises(ValueError,
+                               match=f"^ship registry CSV line 3: {message}"):
+                parse_registry_csv(text + bad + "\n")
+
     def test_lookup_wind_nearest(self):
         samples = [WindSample(T0, 31.0, 19.0, 1.0, 0.0),
                    WindSample(T0, 34.0, 29.0, 2.0, 0.0),
