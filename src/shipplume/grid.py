@@ -7,6 +7,7 @@ Invalid cells are excluded from every downstream statistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,32 @@ def crop(image: GridImage, center_lat: float, center_lon: float,
 
 # --- file formats ---------------------------------------------------------
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def _parse_rows(text: str, header: str, kind: str, convert) -> list:
+    """convert(fields) for every data line of a CSV with the given header;
+    any error names the file kind and the line number."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"bad {kind} CSV header")
+    n_fields = header.count(",") + 1
+    out = []
+    for k, ln in lines[1:]:
+        fields = ln.split(",")
+        try:
+            if len(fields) != n_fields:
+                raise ValueError("wrong field count")
+            out.append(convert(fields))
+        except ValueError as exc:
+            raise ValueError(f"{kind} CSV line {k}: {exc}") from None
+    return out
+
+
 def grid_to_csv(image: GridImage) -> str:
     """Serialize to grid-csv: '#key=value' header lines, then one comma-joined
     row of values per grid row; invalid cells are written as nan."""
@@ -208,11 +235,5 @@ def samples_to_csv(samples: list[PointSample]) -> str:
 
 
 def parse_samples_csv(text: str) -> list[PointSample]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SAMPLES_HEADER:
-        raise ValueError("bad point-sample CSV header")
-    out = []
-    for ln in lines[1:]:
-        lat, lon, value, qa, cf = (float(tok) for tok in ln.split(","))
-        out.append(PointSample(lat, lon, value, qa, cf))
-    return out
+    return _parse_rows(text, SAMPLES_HEADER, "samples",
+                       lambda f: PointSample(*map(_finite, f)))

@@ -204,27 +204,40 @@ def leaf_value(G: float, H: float, alpha: float = 0.0) -> float:
     return float(-_soft_threshold(G, alpha) / (H + GBT_LAMBDA))
 
 
-def _grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray,
-               feats: np.ndarray, max_depth: int, min_child_weight: float,
-               gamma: float, alpha: float, lr: float, depth: int = 0) -> dict:
+def value_ranks(X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per column, its sorted distinct values and each row's rank among them.
+    Ranks take the narrowest unsigned dtype: with 16 bits or fewer a stable
+    argsort is a radix sort."""
+    return [(u, r.astype(np.min_scalar_type(u.size - 1))) for u, r in
+            (np.unique(col, return_inverse=True) for col in X.T)]
+
+
+def _grow_tree(X: np.ndarray, bins: list, g: np.ndarray, h: np.ndarray,
+               idx: np.ndarray, feats: np.ndarray, max_depth: int,
+               min_child_weight: float, gamma: float, alpha: float, lr: float,
+               depth: int = 0) -> dict:
+    """Exact greedy split search: a feature's cuts are the midpoints between
+    its consecutive distinct values in the node, scored from prefix sums of
+    g/h in value order, which a stable sort of the ranks in ``bins[f]`` (from
+    value_ranks) gives."""
     G = float(g[idx].sum())
     H = float(h[idx].sum())
     if depth >= max_depth or idx.size < 2:
         return {"leaf": leaf_value(G, H, alpha) * lr}
     parent_score = float(_leaf_score(G, H, alpha))
+    g_node, h_node = g[idx], h[idx]
     best_gain = 0.0
     best: tuple[int, float] | None = None
     for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        gs = np.cumsum(g[idx][order])
-        hs = np.cumsum(h[idx][order])
-        cut = np.nonzero(vs[1:] != vs[:-1])[0]
+        uniq, rank = bins[f]
+        r = rank[idx]
+        order = np.argsort(r, kind="stable")
+        rs = r[order]
+        cut = np.flatnonzero(rs[1:] != rs[:-1])
         if cut.size == 0:
             continue
-        GL = gs[cut]
-        HL = hs[cut]
+        GL = np.cumsum(g_node[order])[cut]
+        HL = np.cumsum(h_node[order])[cut]
         GR = G - GL
         HR = H - HL
         ok = (HL >= min_child_weight) & (HR >= min_child_weight)
@@ -234,15 +247,16 @@ def _grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray,
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
             best_gain = float(gains[j])
-            best = (int(f), float((vs[cut[j]] + vs[cut[j] + 1]) / 2.0))
+            best = (int(f),
+                    float((uniq[rs[cut[j]]] + uniq[rs[cut[j] + 1]]) / 2.0))
     if best is None:
         return {"leaf": leaf_value(G, H, alpha) * lr}
     f, thr = best
     mask = X[idx, f] < thr
     return {"feature": f, "threshold": thr,
-            "left": _grow_tree(X, g, h, idx[mask], feats, max_depth,
+            "left": _grow_tree(X, bins, g, h, idx[mask], feats, max_depth,
                                min_child_weight, gamma, alpha, lr, depth + 1),
-            "right": _grow_tree(X, g, h, idx[~mask], feats, max_depth,
+            "right": _grow_tree(X, bins, g, h, idx[~mask], feats, max_depth,
                                 min_child_weight, gamma, alpha, lr, depth + 1)}
 
 
@@ -270,6 +284,7 @@ def fit_gbt_arrays(X: np.ndarray, y: np.ndarray, params: dict | None = None,
         p.update(params)
     n, d = X.shape
     rng = np.random.default_rng(seed)
+    bins = value_ranks(X)
     logit = np.zeros(n)
     trees: list[dict] = []
     for _ in range(int(p["n_trees"])):
@@ -286,7 +301,7 @@ def fit_gbt_arrays(X: np.ndarray, y: np.ndarray, params: dict | None = None,
             feats = np.sort(rng.choice(d, size=k, replace=False))
         else:
             feats = np.arange(d)
-        tree = _grow_tree(X, g, h, idx, feats, int(p["max_depth"]),
+        tree = _grow_tree(X, bins, g, h, idx, feats, int(p["max_depth"]),
                           float(p["min_child_weight"]), float(p["gamma"]),
                           float(p["reg_alpha"]), float(p["learning_rate"]))
         trees.append(tree)
@@ -367,6 +382,32 @@ def parse_model_json(text: str):
         raise ValueError(f"malformed model JSON: {exc}") from None
 
 
+def _check_finite(value, name: str) -> None:
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_tree(tree, n_features: int) -> None:
+    """Every node must be {"leaf": finite} or {"feature": int in
+    [0, n_features), "threshold": finite, "left": node, "right": node}."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        keys = sorted(node) if isinstance(node, dict) else None
+        if keys == ["leaf"]:
+            _check_finite(node["leaf"], "leaf")
+        elif keys == ["feature", "left", "right", "threshold"]:
+            f = node["feature"]
+            if type(f) is not int or not 0 <= f < n_features:
+                raise ValueError(f"feature {f!r} not in [0, {n_features})")
+            _check_finite(node["threshold"], "threshold")
+            stack += [node["left"], node["right"]]
+        else:
+            shape = f"keys {keys}" if keys is not None else repr(node)
+            raise ValueError(f"node must be a leaf or a split, got {shape}")
+
+
 def _model_from_obj(obj: dict):
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
@@ -382,6 +423,11 @@ def _model_from_obj(obj: dict):
                              feature_mean=np.array(obj["feature_mean"], dtype=float),
                              feature_std=np.array(obj["feature_std"], dtype=float))
     if kind == "gbt":
+        for k, tree in enumerate(obj["trees"]):
+            try:
+                _check_tree(tree, obj["n_features"])
+            except ValueError as exc:
+                raise ValueError(f"model JSON tree {k}: {exc}") from None
         return GBTModel(trees=obj["trees"], learning_rate=obj["learning_rate"],
                         max_depth=obj["max_depth"], n_trees=obj["n_trees"],
                         min_child_weight=obj["min_child_weight"],

@@ -14,7 +14,7 @@ from pathlib import Path
 from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
                       select_ships)
 from .enhance import moran_enhance, moran_on_high
-from .grid import GridImage, crop, parse_grid_csv
+from .grid import GridImage, _finite, _parse_rows, crop, parse_grid_csv
 from .sector import ShipSector, build_sector, normalize, pixels_in_sector
 from .tracks import (AISRecord, ShipInfo, Track, WindSample, WindVector,
                      extreme_tracks, interpolate_track, lookup_wind,
@@ -166,15 +166,11 @@ class SceneRef:
 
 def read_manifest(manifest_path: str | Path) -> list[SceneRef]:
     manifest_path = Path(manifest_path)
-    lines = [ln for ln in manifest_path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise ValueError("bad scenes manifest header")
-    refs = []
-    for ln in lines[1:]:
-        idx, name, t0 = ln.split(",")
-        refs.append(SceneRef(index=int(idx), path=manifest_path.parent / name,
-                             t_overpass=float(t0)))
-    return refs
+    return _parse_rows(manifest_path.read_text(), MANIFEST_HEADER,
+                       "scenes manifest",
+                       lambda f: SceneRef(index=int(f[0]),
+                                          path=manifest_path.parent / f[1],
+                                          t_overpass=_finite(f[2])))
 
 
 def read_scene_dir(path: str | Path):

@@ -13,7 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .grid import M_PER_DEG_LAT, fmt_float
+from .grid import M_PER_DEG_LAT, _finite, _parse_rows, fmt_float
 
 KNOT_MS = 1852.0 / 3600.0  # one knot in m/s
 
@@ -172,32 +172,6 @@ def extreme_tracks(track: Track, wind: WindVector, t_overpass: float,
 
 
 # --- file formats ---------------------------------------------------------
-
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {token!r}")
-    return value
-
-
-def _parse_rows(text: str, header: str, kind: str, convert) -> list:
-    """convert(fields) for every data line of a CSV with the given header;
-    any error names the file kind and the line number."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1] != header:
-        raise ValueError(f"bad {kind} CSV header")
-    n_fields = header.count(",") + 1
-    out = []
-    for k, ln in lines[1:]:
-        fields = ln.split(",")
-        try:
-            if len(fields) != n_fields:
-                raise ValueError("wrong field count")
-            out.append(convert(fields))
-        except ValueError as exc:
-            raise ValueError(f"{kind} CSV line {k}: {exc}") from None
-    return out
-
 
 AIS_HEADER = "mmsi,timestamp,lat,lon,speed_kt,heading_deg"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shipplume.cli import main
 from shipplume.dataset import LabeledDataset
 from shipplume.grid import GridImage, GridSpec
 
@@ -15,6 +16,20 @@ def columns_dataset(group_ids, X, moran_high, labels, rows=None, cols=None):
         X=np.asarray(X, dtype=float).reshape(n, -1),
         moran_high=np.asarray(moran_high, dtype=float),
         labels=np.array([-1 if y is None else y for y in labels], dtype=int))
+
+
+BRIGHT = ["--grid-rows", "70", "--grid-cols", "70",
+          "--ships-per-scene", "1", "--emission-scale", "0.0003",
+          "--puff-sigma-m", "1500", "--decay-halflife-s", "2400"]
+
+
+@pytest.fixture
+def small_corpus(tmp_path):
+    """A 4-scene synthetic corpus with one bright ship per scene."""
+    scenes = tmp_path / "scenes"
+    assert main(["synth", "--scenes-dir", str(scenes), "--n-scenes", "4",
+                 "--seed", "5", *BRIGHT]) == 0
+    return scenes
 
 
 @pytest.fixture

@@ -6,10 +6,6 @@ from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header
 from shipplume.fileio import write_atomic
 
-BRIGHT = ["--grid-rows", "70", "--grid-cols", "70",
-          "--ships-per-scene", "1", "--emission-scale", "0.0003",
-          "--puff-sigma-m", "1500", "--decay-halflife-s", "2400"]
-
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -28,12 +24,13 @@ def revisit_dataset(path):
     return path
 
 
-@pytest.fixture
-def small_corpus(tmp_path):
-    scenes = tmp_path / "scenes"
-    assert run(["synth", "--scenes-dir", scenes, "--n-scenes", "4",
-                "--seed", "5", *BRIGHT]) == 0
-    return scenes
+def gbt_json(*trees):
+    """A GBT model file for 17 features with the given trees."""
+    return json.dumps({"type": "gbt", "trees": list(trees),
+                       "learning_rate": 0.3, "max_depth": 3,
+                       "n_trees": len(trees), "min_child_weight": 1.0,
+                       "subsample": 1.0, "colsample": 1.0, "gamma": 0.0,
+                       "reg_alpha": 0.0, "n_features": 17})
 
 
 class TestConfig:
@@ -89,7 +86,15 @@ class TestBadInputs:
         (json.dumps({"type": "logistic", "weights": [0.0] * 17, "bias": 0.0,
                      "class_weights": 5, "feature_mean": [0.0] * 17,
                      "feature_std": [1.0] * 17}), "malformed model JSON"),
-    ], ids=["top_level_array", "one_class_weight", "scalar_class_weights"])
+        (gbt_json({}), "tree 0: node must be a leaf or a split, got keys []"),
+        (gbt_json({"leaf": 0.0}, {"feature": 17, "threshold": 0.5,
+                                  "left": {"leaf": 0.1},
+                                  "right": {"leaf": -0.1}}),
+         "tree 1: feature 17 not in [0, 17)"),
+        (gbt_json({"feature": 2, "threshold": 0.5, "left": {"leaf": 0.1}}),
+         "tree 0: node must be a leaf or a split, got keys ['feature', 'left'"),
+    ], ids=["top_level_array", "one_class_weight", "scalar_class_weights",
+            "gbt_empty_node", "gbt_feature_out_of_range", "gbt_missing_right"])
     def test_malformed_model_json_exits_1(self, tmp_path, capsys, model_json,
                                           message):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -111,6 +116,31 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "line 2" in err
+
+    def test_nonfinite_sample_exits_1(self, small_corpus, capsys):
+        samples = small_corpus / "scene_001" / "samples.csv"
+        header, first, rest = samples.read_text().split("\n", 2)
+        samples.write_text("\n".join([header, "nan" + first[first.index(","):],
+                                      rest]))
+        assert run(["ingest", "--scenes-dir", small_corpus,
+                    "--grid-rows", "70", "--grid-cols", "70"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "samples CSV line 2: non-finite value 'nan'" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,scene_000", "line 3: wrong field count"),
+        ("0.5,scene_000,1554120000.0", "line 3: invalid literal for int()"),
+        ("0,scene_000,inf", "line 3: non-finite value 'inf'"),
+    ], ids=["field_count", "non_integer_index", "nonfinite_t_overpass"])
+    def test_bad_manifest_exits_1(self, tmp_path, capsys, row, message):
+        (tmp_path / "scenes.csv").write_text(
+            "scene,dir,t_overpass\n\n" + row + "\n")
+        assert run(["features", "--scenes-dir", tmp_path,
+                    "--dataset-file", tmp_path / "dataset.csv"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "scenes manifest CSV " + message in err
 
 
 class TestWriteAtomic:

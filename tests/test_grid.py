@@ -189,3 +189,13 @@ class TestGridCsv:
         samples = make_samples(rng, 40, spec)
         text = samples_to_csv(samples)
         assert samples_to_csv(parse_samples_csv(text)) == text
+
+    def test_samples_bad_rows_rejected_with_line(self):
+        text = samples_to_csv([PointSample(31.5, 19.5, 1.0, 0.9, 0.1)])
+        for bad, message in (("nan,19.5,1.0,0.9,0.1", "non-finite"),
+                             ("31.5,19.5,inf,0.9,0.1", "non-finite"),
+                             ("31.5,19.5,1.0,0.9", "wrong field count"),
+                             ("31.5,19.5,1.0,1.5,0.1", "qa must lie")):
+            with pytest.raises(ValueError,
+                               match=f"^samples CSV line 3: {message}"):
+                parse_samples_csv(text + bad + "\n")
