@@ -13,8 +13,7 @@ import sys
 import tempfile
 import time
 
-from shipplume.evaluation import (nested_cv, proxy_correlation, ship_estimates,
-                                  ship_proxies)
+from shipplume.evaluation import nested_cv, proxy_correlation, ship_estimates
 from shipplume.pipeline import PipelineParams, build_dataset_from_scenes
 from shipplume.synth import generate_corpus
 
@@ -60,21 +59,20 @@ def main(argv=None):
         print(f"{family:<12}" + "".join(f"{c:>16}" for c in cells)
               + f"{time.time() - t1:>7.1f}s")
 
-    proxies = ship_proxies(ds)
     print(f"\n{'model':<12}{'pearson r':>12}{'ships used':>12}{'no plume':>10}")
-    est = ship_estimates(ds, ds.require_labels())
-    used = sum(1 for e in est if e.n_plume_pixels > 0)
-    r = proxy_correlation(est, proxies)
-    print(f"{'truth':<12}{r:>12.3f}{used:>12}{len(est) - used:>10}")
+    table = ship_estimates(ds, ds.require_labels())
+    used = int((table.n_plume_pixels > 0).sum())
+    r = proxy_correlation(table)
+    print(f"{'truth':<12}{r:>12.3f}{used:>12}{len(table) - used:>10}")
     for family, rep in reports.items():
-        est = ship_estimates(ds, rep.predictions())
-        used = sum(1 for e in est if e.n_plume_pixels > 0)
+        table = ship_estimates(ds, rep.predictions())
+        used = int((table.n_plume_pixels > 0).sum())
         try:
-            r = proxy_correlation(est, proxies)
+            r = proxy_correlation(table)
             r_text = f"{r:>12.3f}"
         except ValueError as exc:
             r_text = f"{str(exc):>12}"
-        print(f"{family:<12}{r_text}{used:>12}{len(est) - used:>10}")
+        print(f"{family:<12}{r_text}{used:>12}{len(table) - used:>10}")
     return 0
 
 

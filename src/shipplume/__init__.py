@@ -3,11 +3,11 @@ gridded rasters, with a built-in synthetic-scene generator for verification."""
 
 from .dataset import LabeledDataset, assemble, select_ships
 from .enhance import QUEEN, ContiguityKernel, MoranStats, moran_enhance, moran_on_high
-from .evaluation import (CVReport, EmissionProxy, Metrics, ShipEstimate,
-                         average_precision, emission_proxy, nested_cv,
-                         pr_metrics, proxy_correlation, ship_estimates,
-                         ship_proxies)
-from .grid import GridImage, GridSpec, PointSample, crop, quality_filter, regrid
+from .evaluation import (CVReport, Metrics, ShipTable, average_precision,
+                         nested_cv, pr_metrics, proxy_correlation,
+                         ship_estimates)
+from .grid import (SAMPLE_DTYPE, GridImage, GridSpec, crop, quality_filter,
+                   regrid)
 from .models import (GBTModel, LogisticModel, ThresholdModel, fit_family,
                      predict_labels, predict_scores)
 from .pipeline import PipelineParams, build_dataset_from_scenes, build_ship_images

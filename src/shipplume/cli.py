@@ -273,12 +273,11 @@ def _predictions_for_proxy(cfg: dict, dataset) -> np.ndarray:
 def cmd_proxy_report(cfg: dict) -> None:
     dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
     preds = _predictions_for_proxy(cfg, dataset)
-    estimates = ev.ship_estimates(dataset, preds)
-    proxies = ev.ship_proxies(dataset)
-    write_atomic(cfg["proxy-file"], ev.estimates_to_csv(estimates, proxies))
-    n_zero = sum(1 for e in estimates if e.n_plume_pixels == 0)
-    r = ev.proxy_correlation(estimates, proxies)
-    print(f"proxy-report: ships={len(estimates)} zero_prediction={n_zero} "
+    table = ev.ship_estimates(dataset, preds)
+    write_atomic(cfg["proxy-file"], ev.estimates_to_csv(table))
+    n_zero = int(np.sum(table.n_plume_pixels == 0))
+    r = ev.proxy_correlation(table)
+    print(f"proxy-report: ships={len(table)} zero_prediction={n_zero} "
           f"pearson_r={r:.4f} out={cfg['proxy-file']}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridImage, fmt_float
+from .grid import GridImage, _parse_rows, fmt_float
 from .sector import ShipSector
 from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
 
@@ -185,18 +185,28 @@ def labels_to_csv(labels: dict[tuple[str, int, int], int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_labels_csv(text: str) -> dict[tuple[str, int, int], int]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != LABELS_HEADER:
-        raise ValueError("bad label CSV header")
+def parse_pixel_flags(text: str, header: str, kind: str, flag: str,
+                      ) -> dict[tuple[str, int, int], int]:
+    """{(group_id, row, col): flag} from a CSV whose rows start with the
+    pixel key and whose `flag` column holds 0 or 1; a repeated key is
+    rejected, and any error names the file kind and the line number."""
+    at = header.split(",").index(flag)
     out: dict[tuple[str, int, int], int] = {}
-    for ln in lines[1:]:
-        gid, r, c, label = ln.split(",")
-        value = int(label)
-        if value not in (0, 1):
-            raise ValueError("labels must be 0 or 1")
-        out[(gid, int(r), int(c))] = value
+
+    def add(fields: list[str]) -> None:
+        key = (fields[0], int(fields[1]), int(fields[2]))
+        if key in out:
+            raise ValueError(f"duplicate key {','.join(fields[:3])}")
+        if fields[at] not in ("0", "1"):
+            raise ValueError(f"{flag} must be 0 or 1")
+        out[key] = int(fields[at])
+
+    _parse_rows(text, header, kind, add)
     return out
+
+
+def parse_labels_csv(text: str) -> dict[tuple[str, int, int], int]:
+    return parse_pixel_flags(text, LABELS_HEADER, "labels", "label")
 
 
 def dataset_header(n_levels: int = 5, n_subsectors: int = 5) -> str:
@@ -224,7 +234,8 @@ _LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
 
 def parse_dataset_csv(text: str) -> LabeledDataset:
     """Parse a dataset CSV; a row with a non-finite feature or moran_high
-    value, or a label other than 0, 1 or empty, is rejected."""
+    value, a ship length <= 0, a negative ship speed, or a label other than
+    0, 1 or empty, is rejected."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty dataset CSV")
@@ -251,10 +262,14 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
             raise ValueError(f"dataset CSV line {k}: {exc}") from None
         gids.append(p[0])
         labels.append(_LABEL_TOKENS[p[-1]])
-    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
-    if bad.size:
-        k = lines[int(bad[0]) + 1][0]
-        raise ValueError(f"dataset CSV line {k}: non-finite value")
+    length = values[:, FEATURE_BASE.index("ship_length")]
+    speed = values[:, FEATURE_BASE.index("ship_speed")]
+    for bad, message in ((~np.isfinite(values).all(axis=1), "non-finite value"),
+                         (length <= 0, "ship_length must be > 0"),
+                         (speed < 0, "ship_speed must be >= 0")):
+        if bad.any():
+            k = lines[int(np.argmax(bad)) + 1][0]
+            raise ValueError(f"dataset CSV line {k}: {message}")
     return LabeledDataset(group_ids=np.array(gids, dtype=str),
                           rows=np.array(rows, dtype=int),
                           cols=np.array(cols, dtype=int), X=values[:, :n_feat],

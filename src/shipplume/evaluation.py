@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, parse_pixel_flags
 from .grid import fmt_float
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family, predict_labels,
                      predict_scores, sample_params)
-from .tracks import ShipInfo
 
 
 @dataclass(frozen=True)
@@ -61,25 +60,17 @@ class CVReport:
 
 
 @dataclass(frozen=True)
-class EmissionProxy:
-    mmsi: int
-    e_s: float  # m^2 * m^3 / s^3
+class ShipTable:
+    """Per-ship results as columns, one row per group_id (one ship on one
+    day) in group_id order."""
 
-    def __post_init__(self) -> None:
-        if self.e_s < 0:
-            raise ValueError("e_s must be >= 0")
+    group_ids: np.ndarray       # (n,) str, <mmsi>_<ISO date>
+    no2_sum: np.ndarray         # (n,) float, NO2 over the pixels predicted as plume
+    n_plume_pixels: np.ndarray  # (n,) int
+    e_s: np.ndarray             # (n,) float, emission proxy L^2 U^3, m^5/s^3
 
-
-@dataclass(frozen=True)
-class ShipEstimate:
-    mmsi: int
-    date: str
-    no2_sum: float
-    n_plume_pixels: int
-
-    @property
-    def group_id(self) -> str:
-        return f"{self.mmsi}_{self.date}"
+    def __len__(self) -> int:
+        return len(self.group_ids)
 
 
 def pr_metrics(labels, predictions) -> Metrics:
@@ -277,66 +268,37 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
                     oof_pred=oof_pred, splits=splits)
 
 
-# --- emission proxy ----------------------------------------------------------
+# --- per-ship emission comparison -------------------------------------------
 
-def emission_proxy(info: ShipInfo) -> EmissionProxy:
-    """Theoretical relative emission potential: length^2 * speed^3 (ShipInfo
-    guarantees a positive length)."""
-    return EmissionProxy(mmsi=info.mmsi,
-                         e_s=info.length_m ** 2 * info.speed_ms ** 3)
-
-
-def split_group_id(group_id: str) -> tuple[int, str]:
-    mmsi, _, date = group_id.partition("_")
-    return int(mmsi), date
-
-
-def ship_proxies(ds: LabeledDataset) -> dict[str, float]:
-    """Emission proxy of every group (one ship on one day), from that group's
-    own ship length and speed; keyed by group_id."""
-    length = ds.column("ship_length")
-    speed = ds.column("ship_speed")
-    groups, first = np.unique(ds.group_ids, return_index=True)
-    out = {}
-    for gid, i in zip(groups.tolist(), first.tolist()):
-        mmsi, date = split_group_id(gid)
-        info = ShipInfo(mmsi=mmsi, length_m=float(length[i]),
-                        speed_ms=float(speed[i]))
-        out[f"{mmsi}_{date}"] = emission_proxy(info).e_s
-    return out
-
-
-def ship_estimates(ds: LabeledDataset, predictions) -> list[ShipEstimate]:
-    """Per-ship NO2 totals over the pixels predicted as plume."""
+def ship_estimates(ds: LabeledDataset, predictions) -> ShipTable:
+    """Per-ship NO2 totals over the pixels predicted as plume, next to the
+    theoretical relative emission potential e_s = length^2 * speed^3 of the
+    same group, from that group's own ship length and speed."""
     p = np.asarray(predictions, dtype=int)
     if len(p) != len(ds):
         raise ValueError("length mismatch")
-    groups, inverse = np.unique(ds.group_ids, return_inverse=True)
+    groups, first, inverse = np.unique(ds.group_ids, return_index=True,
+                                       return_inverse=True)
     hit = p == 1
     # bincount adds in row order, like a running sum per group
     sums = np.bincount(inverse[hit], weights=ds.column("no2")[hit],
                        minlength=len(groups))
     counts = np.bincount(inverse[hit], minlength=len(groups))
-    out = []
-    for gid, total, n in zip(groups.tolist(), sums.tolist(), counts.tolist()):
-        mmsi, date = split_group_id(gid)
-        out.append(ShipEstimate(mmsi=mmsi, date=date, no2_sum=total,
-                                n_plume_pixels=n))
-    return out
+    # Python-float powers: numpy's ** rounds differently on some inputs
+    e_s = [length ** 2 * speed ** 3 for length, speed in
+           zip(ds.column("ship_length")[first].tolist(),
+               ds.column("ship_speed")[first].tolist())]
+    return ShipTable(group_ids=groups, no2_sum=sums, n_plume_pixels=counts,
+                     e_s=np.array(e_s, dtype=float))
 
 
-def proxy_correlation(estimates: list[ShipEstimate],
-                      proxies: dict[str, float]) -> float:
-    """Pearson r between per-ship NO2 totals and the emission proxy of the
-    same group_id; ships with zero predicted plume pixels are excluded
-    (count them separately)."""
-    usable = [e for e in estimates
-              if e.n_plume_pixels > 0 and e.group_id in proxies]
-    if len(usable) < 2:
+def proxy_correlation(table: ShipTable) -> float:
+    """Pearson r between per-ship NO2 totals and the emission proxy; ships
+    with zero predicted plume pixels are excluded (count them separately)."""
+    usable = table.n_plume_pixels > 0
+    if usable.sum() < 2:
         raise ValueError("insufficient ships")
-    x = np.array([e.no2_sum for e in usable])
-    y = np.array([proxies[e.group_id] for e in usable])
-    return pearson(x, y)
+    return pearson(table.no2_sum[usable], table.e_s[usable])
 
 
 # --- report output -----------------------------------------------------------
@@ -370,12 +332,12 @@ def pr_points_to_csv(points: list[tuple[float, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimates_to_csv(estimates: list[ShipEstimate],
-                     proxies: dict[str, float]) -> str:
+def estimates_to_csv(table: ShipTable) -> str:
     lines = ["mmsi,date,no2_sum,e_s"]
-    for e in estimates:
-        lines.append(f"{e.mmsi},{e.date},{fmt_float(e.no2_sum)},"
-                     f"{fmt_float(proxies[e.group_id])}")
+    for gid, total, e_s in zip(table.group_ids.tolist(),
+                               table.no2_sum.tolist(), table.e_s.tolist()):
+        mmsi, _, date = gid.partition("_")
+        lines.append(f"{mmsi},{date},{fmt_float(total)},{fmt_float(e_s)}")
     return "\n".join(lines) + "\n"
 
 
@@ -396,13 +358,7 @@ def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:
     """The binary predictions of an out-of-fold CSV in dataset row order;
     every dataset row needs one."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != OOF_HEADER:
-        raise ValueError("bad out-of-fold CSV header")
-    table = {}
-    for ln in lines[1:]:
-        gid, r, c, _, p, _ = ln.split(",")
-        table[(gid, int(r), int(c))] = int(p)
+    table = parse_pixel_flags(text, OOF_HEADER, "out-of-fold", "pred")
     keys = zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist())
     try:
         return np.array([table[key] for key in keys], dtype=int)

@@ -83,44 +83,30 @@ class GridImage:
         return GridImage(self.spec, self.values.copy(), self.valid.copy())
 
 
-@dataclass(frozen=True)
-class PointSample:
-    """One scattered observation with its quality descriptors."""
-
-    lat: float
-    lon: float
-    value: float
-    qa: float = 1.0
-    cloud_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.qa <= 1.0:
-            raise ValueError("qa must lie in [0, 1]")
-        if not 0.0 <= self.cloud_fraction <= 1.0:
-            raise ValueError("cloud_fraction must lie in [0, 1]")
+# Scattered observations with their quality descriptors, one record per
+# sample; the fields are the columns of a samples CSV.
+SAMPLES_HEADER = "lat,lon,value,qa,cloud_fraction"
+SAMPLE_DTYPE = np.dtype([(name, float) for name in SAMPLES_HEADER.split(",")])
 
 
-def quality_filter(samples: list[PointSample], qa_min: float = 0.5,
-                   cloud_max: float = 0.5) -> list[PointSample]:
+def quality_filter(samples: np.ndarray, qa_min: float = 0.5,
+                   cloud_max: float = 0.5) -> np.ndarray:
     """Keep samples with qa strictly above qa_min and cloud fraction strictly
     below cloud_max; input order is preserved."""
-    return [s for s in samples if s.qa > qa_min and s.cloud_fraction < cloud_max]
+    return samples[(samples["qa"] > qa_min)
+                   & (samples["cloud_fraction"] < cloud_max)]
 
 
-def regrid(samples: list[PointSample], spec: GridSpec) -> GridImage:
+def regrid(samples: np.ndarray, spec: GridSpec) -> GridImage:
     """Average sample values per cell; cells without samples are invalid and
     samples outside the grid extent are ignored."""
     sums = np.zeros((spec.n_rows, spec.n_cols))
     counts = np.zeros((spec.n_rows, spec.n_cols), dtype=int)
-    if samples:
-        lat = np.array([s.lat for s in samples])
-        lon = np.array([s.lon for s in samples])
-        val = np.array([s.value for s in samples])
-        r = np.floor((lat - spec.lat_min) / spec.cell_size).astype(int)
-        c = np.floor((lon - spec.lon_min) / spec.cell_size).astype(int)
-        inb = (r >= 0) & (r < spec.n_rows) & (c >= 0) & (c < spec.n_cols)
-        np.add.at(sums, (r[inb], c[inb]), val[inb])
-        np.add.at(counts, (r[inb], c[inb]), 1)
+    r = np.floor((samples["lat"] - spec.lat_min) / spec.cell_size).astype(int)
+    c = np.floor((samples["lon"] - spec.lon_min) / spec.cell_size).astype(int)
+    inb = (r >= 0) & (r < spec.n_rows) & (c >= 0) & (c < spec.n_cols)
+    np.add.at(sums, (r[inb], c[inb]), samples["value"][inb])
+    np.add.at(counts, (r[inb], c[inb]), 1)
     valid = counts > 0
     values = np.full((spec.n_rows, spec.n_cols), np.nan)
     values[valid] = sums[valid] / counts[valid]
@@ -201,14 +187,21 @@ def grid_to_csv(image: GridImage) -> str:
 
 
 def parse_grid_csv(text: str) -> GridImage:
+    """Parse grid-csv; a nan cell is invalid, an infinite or unparsable one
+    is rejected with its line number."""
     header: dict[str, str] = {}
     rows: list[list[float]] = []
-    for line in text.splitlines():
+    row_lines: list[int] = []
+    for k, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             header[key] = value
         elif line.strip():
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"grid-csv line {k}: {exc}") from None
+            row_lines.append(k)
     try:
         spec = GridSpec(lat_min=float(header["lat_min"]),
                         lon_min=float(header["lon_min"]),
@@ -217,23 +210,30 @@ def parse_grid_csv(text: str) -> GridImage:
                         n_cols=int(header["n_cols"]))
     except KeyError as exc:
         raise ValueError(f"grid-csv header missing #{exc.args[0]}=") from None
-    values = np.array(rows, dtype=float)
-    if values.shape != (spec.n_rows, spec.n_cols):
+    if len(rows) != spec.n_rows or any(len(r) != spec.n_cols for r in rows):
         raise ValueError("grid-csv body does not match declared shape")
+    values = np.array(rows, dtype=float)
+    inf_rows = np.nonzero(np.isinf(values).any(axis=1))[0]
+    if inf_rows.size:
+        raise ValueError(f"grid-csv line {row_lines[inf_rows[0]]}: "
+                         "infinite value")
     return GridImage(spec, values, ~np.isnan(values))
 
 
-SAMPLES_HEADER = "lat,lon,value,qa,cloud_fraction"
-
-
-def samples_to_csv(samples: list[PointSample]) -> str:
+def samples_to_csv(samples: np.ndarray) -> str:
     lines = [SAMPLES_HEADER]
-    for s in samples:
-        lines.append(",".join(fmt_float(x) for x in
-                              (s.lat, s.lon, s.value, s.qa, s.cloud_fraction)))
+    lines += [",".join(map(fmt_float, s)) for s in samples.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def parse_samples_csv(text: str) -> list[PointSample]:
-    return _parse_rows(text, SAMPLES_HEADER, "samples",
-                       lambda f: PointSample(*map(_finite, f)))
+def _sample(fields: list[str]) -> tuple[float, ...]:
+    sample = tuple(map(_finite, fields))
+    for name, value in zip(("qa", "cloud_fraction"), sample[3:]):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    return sample
+
+
+def parse_samples_csv(text: str) -> np.ndarray:
+    return np.array(_parse_rows(text, SAMPLES_HEADER, "samples", _sample),
+                    dtype=SAMPLE_DTYPE)

@@ -80,36 +80,31 @@ def build_sector(ship_track: Track, ext_left: Track, ext_right: Track,
     tracks. The reference angle is the polar angle of the centroid of the
     pointwise midpoint of the two extreme tracks (the wedge bisector).
     """
-    if len(ext_left.points) != len(ship_track.points) or \
-            len(ext_right.points) != len(ship_track.points):
+    if not (np.array_equal(ext_left.t, ship_track.t)
+            and np.array_equal(ext_right.t, ship_track.t)):
         raise ValueError("tracks must share timestamps")
-    for a, b, c in zip(ship_track.points, ext_left.points, ext_right.points):
-        if not (a.timestamp == b.timestamp == c.timestamp):
-            raise ValueError("tracks must share timestamps")
 
-    last = ship_track.points[-1]
-    origin = (last.lat, last.lon)
+    origin = (float(ship_track.lat[-1]), float(ship_track.lon[-1]))
 
-    mid_lat = np.array([(l.lat + r.lat) / 2.0
-                        for l, r in zip(ext_left.points, ext_right.points)])
-    mid_lon = np.array([(l.lon + r.lon) / 2.0
-                        for l, r in zip(ext_left.points, ext_right.points)])
+    mid_lat = (ext_left.lat + ext_right.lat) / 2.0
+    mid_lon = (ext_left.lon + ext_right.lon) / 2.0
     cx, cy = local_xy(origin, mid_lat.mean(), mid_lon.mean())
     reference_angle = math.degrees(math.atan2(float(cy), float(cx)))
 
-    candidates: list[tuple[float, float]] = [origin]
-    for track in (ship_track, ext_left, ext_right):
-        candidates.extend((p.lat, p.lon) for p in track.points)
-    # hull in the local meter plane (an axis scaling of lat/lon, so the same
-    # vertex set as in degrees, but with a scale-free collinearity test)
-    lats = np.array([p[0] for p in candidates])
-    lons = np.array([p[1] for p in candidates])
+    # hull candidates: the origin, then the points of all three tracks. The
+    # hull is taken in the local meter plane (an axis scaling of lat/lon, so
+    # the same vertex set as in degrees, but with a scale-free collinearity
+    # test)
+    lats = np.concatenate([[origin[0]], ship_track.lat, ext_left.lat,
+                           ext_right.lat])
+    lons = np.concatenate([[origin[1]], ship_track.lon, ext_left.lon,
+                           ext_right.lon])
     x, y = local_xy(origin, lats, lons)
     xy = list(zip(x.tolist(), y.tolist()))
     hull = _convex_hull(xy)
     if len(hull) < 3:
         raise ValueError("degenerate sector")
-    vertices = [candidates[i] for i in hull]
+    vertices = list(zip(lats[hull].tolist(), lons[hull].tolist()))
     if origin in vertices:
         k = vertices.index(origin)
         vertices = vertices[k:] + vertices[:k]

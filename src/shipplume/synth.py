@@ -23,13 +23,13 @@ from scipy.special import erf
 
 from .dataset import labels_to_csv
 from .fileio import write_atomic
-from .grid import (GridImage, GridSpec, M_PER_DEG_LAT, PointSample, fmt_float,
-                   grid_to_csv, samples_to_csv)
+from .grid import (SAMPLE_DTYPE, GridImage, GridSpec, M_PER_DEG_LAT,
+                   fmt_float, grid_to_csv, samples_to_csv)
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        build_ship_images, read_scene_dir)
-from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, TrackPoint,
-                     WindSample, WindVector, ais_to_csv, mean_position,
-                     registry_to_csv, wind_shift, wind_to_csv)
+from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, WindSample,
+                     WindVector, ais_to_csv, mean_position, registry_to_csv,
+                     wind_shift, wind_to_csv)
 
 DEFAULT_GRID = GridSpec(lat_min=31.5, lon_min=19.5, cell_size=0.045,
                         n_rows=60, n_cols=60)
@@ -93,13 +93,9 @@ def _straight_track(mmsi: int, lat0: float, lon0: float, heading: float,
     east = speed_ms * math.sin(math.radians(heading))
     coslat = math.cos(math.radians(lat0))
     n_steps = int(math.floor(window_s / step_s + 1e-9))
-    pts = []
-    for k in range(n_steps, -1, -1):
-        dt = k * step_s
-        pts.append(TrackPoint(t_overpass - dt,
-                              lat0 - north * dt / M_PER_DEG_LAT,
-                              lon0 - east * dt / (M_PER_DEG_LAT * coslat)))
-    return Track(mmsi, tuple(pts))
+    dt = np.arange(n_steps, -1, -1) * step_s
+    return Track(mmsi, t_overpass - dt, lat0 - north * dt / M_PER_DEG_LAT,
+                 lon0 - east * dt / (M_PER_DEG_LAT * coslat))
 
 
 def _deposit_puff(out: np.ndarray, spec: GridSpec, lat_ref: float,
@@ -203,11 +199,11 @@ def generate_scene(config: SceneConfig) -> Scene:
         e_s = info.length_m ** 2 * info.speed_ms ** 3
         total = config.emission_scale * e_s
         plume = np.zeros(shape)
-        for p in track.points:
-            age = config.t_overpass - p.timestamp
-            plat = p.lat + wind.v * age / M_PER_DEG_LAT
-            plon = p.lon + wind.u * age / (M_PER_DEG_LAT
-                                           * math.cos(math.radians(p.lat)))
+        # each puff drifts with the wind for its age, like the shifted track
+        puffs = wind_shift(track, wind, config.t_overpass)
+        ages = config.t_overpass - track.t
+        for plat, plon, age in zip(puffs.lat.tolist(), puffs.lon.tolist(),
+                                   ages.tolist()):
             mass = (total * (config.step_s / config.window_s)
                     * math.exp(-ln2 * age / config.decay_halflife_s))
             _deposit_puff(plume, spec, lat_ref, lon_ref, plat, plon,
@@ -239,16 +235,17 @@ def expected_deposit_fraction(config: SceneConfig) -> float:
 
 # --- serialization into the pipeline's external formats -----------------------
 
-def scene_samples(scene: Scene) -> list[PointSample]:
-    """One clean point sample at every cell center of the scene raster."""
+def scene_samples(scene: Scene) -> np.ndarray:
+    """One clean point sample at every cell center of the scene raster, in
+    row-major cell order."""
     spec = scene.image.spec
-    out = []
-    for r in range(spec.n_rows):
-        for c in range(spec.n_cols):
-            lat, lon = spec.cell_center(r, c)
-            out.append(PointSample(lat=lat, lon=lon,
-                                   value=float(scene.image.values[r, c]),
-                                   qa=1.0, cloud_fraction=0.0))
+    lat, lon = np.meshgrid(spec.lat_centers(), spec.lon_centers(),
+                           indexing="ij")
+    out = np.zeros(spec.n_rows * spec.n_cols, dtype=SAMPLE_DTYPE)
+    out["lat"] = lat.ravel()
+    out["lon"] = lon.ravel()
+    out["value"] = scene.image.values.ravel()
+    out["qa"] = 1.0
     return out
 
 
@@ -256,10 +253,10 @@ def scene_ais_records(scene: Scene) -> list[AISRecord]:
     records = []
     for (info, track, _), heading in zip(scene.ships, scene.headings):
         speed_kt = info.speed_ms / KNOT_MS
-        for p in track.points:
-            records.append(AISRecord(mmsi=info.mmsi, timestamp=p.timestamp,
-                                     lat=p.lat, lon=p.lon, speed=speed_kt,
-                                     heading=heading))
+        records += [AISRecord(mmsi=info.mmsi, timestamp=t, lat=lat, lon=lon,
+                              speed=speed_kt, heading=heading)
+                    for t, lat, lon in zip(track.t.tolist(), track.lat.tolist(),
+                                           track.lon.tolist())]
     return records
 
 

@@ -9,9 +9,10 @@ in m/s.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .grid import M_PER_DEG_LAT, _finite, _parse_rows, fmt_float
 
@@ -41,24 +42,25 @@ class ShipInfo:
             raise ValueError("speed_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    timestamp: float
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Track:
-    """A ship track, or a wind-shifted copy of one (same timestamps)."""
+    """A ship track, or a wind-shifted copy of one (same timestamps), as
+    equal-length float columns: point i is (t[i], lat[i], lon[i])."""
 
     mmsi: int
-    points: tuple[TrackPoint, ...]
+    t: np.ndarray    # UTC seconds, strictly increasing
+    lat: np.ndarray
+    lon: np.ndarray
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.points, self.points[1:]):
-            if b.timestamp <= a.timestamp:
-                raise ValueError("track timestamps must be strictly increasing")
+        self.t = np.asarray(self.t, dtype=float)
+        self.lat = np.asarray(self.lat, dtype=float)
+        self.lon = np.asarray(self.lon, dtype=float)
+        if self.t.ndim != 1 or self.lat.shape != self.t.shape \
+                or self.lon.shape != self.t.shape:
+            raise ValueError("track columns must be 1-D and of equal length")
+        if np.any(np.diff(self.t) <= 0):
+            raise ValueError("track timestamps must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,10 @@ def clean_records(records: list[AISRecord]) -> list[AISRecord]:
     return out
 
 
-def _dead_reckon(rec: AISRecord, t: float) -> tuple[float, float]:
-    """Constant speed/heading position at time t (t may precede the record)."""
+def _dead_reckon(rec: AISRecord, t: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Constant speed/heading positions at times t (which may precede the
+    record)."""
     dt = t - rec.timestamp
     sp = rec.speed * KNOT_MS
     north = sp * math.cos(math.radians(rec.heading))
@@ -103,38 +107,35 @@ def interpolate_track(records: list[AISRecord], t_overpass: float,
     recs = clean_records(records)
     if len(recs) < 2:
         raise ValueError("insufficient AIS coverage")
-    mmsi = recs[0].mmsi
-    ts = [r.timestamp for r in recs]
+    ts = np.array([r.timestamp for r in recs])
+    lats = np.array([r.lat for r in recs])
+    lons = np.array([r.lon for r in recs])
     n_steps = int(math.floor(window_s / step_s + 1e-9))
-    pts: list[TrackPoint] = []
-    for k in range(n_steps, -1, -1):
-        t = t_overpass - k * step_s
-        if ts[0] <= t <= ts[-1]:
-            i = bisect.bisect_right(ts, t) - 1
-            if ts[i] == t:
-                lat, lon = recs[i].lat, recs[i].lon
-            else:
-                a, b = recs[i], recs[i + 1]
-                w = (t - a.timestamp) / (b.timestamp - a.timestamp)
-                lat = a.lat + w * (b.lat - a.lat)
-                lon = a.lon + w * (b.lon - a.lon)
-        elif t < ts[0] and ts[0] - t <= step_s:
-            lat, lon = _dead_reckon(recs[0], t)
-        elif t > ts[-1] and t - ts[-1] <= step_s:
-            lat, lon = _dead_reckon(recs[-1], t)
-        else:
-            continue
-        pts.append(TrackPoint(t, lat, lon))
-    if len(pts) < 2:
+    t = t_overpass - np.arange(n_steps, -1, -1) * step_s
+    # record at or before t, and the segment [i, i + 1] that brackets t
+    j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
+    i = np.minimum(j, len(ts) - 2)
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    at_record = ts[j] == t
+    lat = np.where(at_record, lats[j], lats[i] + w * (lats[i + 1] - lats[i]))
+    lon = np.where(at_record, lons[j], lons[i] + w * (lons[i + 1] - lons[i]))
+    before = (t < ts[0]) & (ts[0] - t <= step_s)
+    after = (t > ts[-1]) & (t - ts[-1] <= step_s)
+    for near, rec in ((before, recs[0]), (after, recs[-1])):
+        lat_dr, lon_dr = _dead_reckon(rec, t)
+        lat = np.where(near, lat_dr, lat)
+        lon = np.where(near, lon_dr, lon)
+    keep = ((ts[0] <= t) & (t <= ts[-1])) | before | after
+    if keep.sum() < 2:
         raise ValueError("insufficient AIS coverage")
-    return Track(mmsi, tuple(pts))
+    return Track(recs[0].mmsi, t[keep], lat[keep], lon[keep])
 
 
 def mean_position(track: Track) -> tuple[float, float]:
     """Mean (lat, lon) of the track points."""
-    lats = [p.lat for p in track.points]
-    lons = [p.lon for p in track.points]
-    return sum(lats) / len(lats), sum(lons) / len(lons)
+    # a sequential sum, which rounds differently from numpy's pairwise one
+    n = len(track.t)
+    return sum(track.lat.tolist()) / n, sum(track.lon.tolist()) / n
 
 
 def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> Track:
@@ -143,16 +144,13 @@ def wind_shift(track: Track, wind: WindVector, t_overpass: float) -> Track:
     A point at time t moves by wind * (t_overpass - t); the point at overpass
     time itself is unchanged.
     """
-    for p in track.points:
-        if p.timestamp > t_overpass:
-            raise ValueError("track extends past the overpass time")
-    pts = []
-    for p in track.points:
-        dt = t_overpass - p.timestamp
-        lat = p.lat + wind.v * dt / M_PER_DEG_LAT
-        lon = p.lon + wind.u * dt / (M_PER_DEG_LAT * math.cos(math.radians(p.lat)))
-        pts.append(TrackPoint(p.timestamp, lat, lon))
-    return Track(track.mmsi, tuple(pts))
+    if np.any(track.t > t_overpass):
+        raise ValueError("track extends past the overpass time")
+    dt = t_overpass - track.t
+    lat = track.lat + wind.v * dt / M_PER_DEG_LAT
+    lon = track.lon + wind.u * dt / (M_PER_DEG_LAT
+                                     * np.cos(np.radians(track.lat)))
+    return Track(track.mmsi, track.t, lat, lon)
 
 
 def extreme_tracks(track: Track, wind: WindVector, t_overpass: float,

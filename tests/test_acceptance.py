@@ -12,8 +12,7 @@ from shipplume.dataset import (dataset_to_csv, labels_to_csv,
                                parse_dataset_csv, parse_labels_csv)
 from shipplume.enhance import moran_enhance
 from shipplume.evaluation import (average_precision, nested_cv,
-                                  proxy_correlation, ship_estimates,
-                                  ship_proxies)
+                                  proxy_correlation, ship_estimates)
 from shipplume.grid import GridImage, GridSpec, grid_to_csv, parse_grid_csv
 from shipplume.models import (GBTModel, LogisticModel, ThresholdModel,
                               eval_tree, fit_gbt_arrays, fit_threshold_values,
@@ -281,14 +280,12 @@ def test_criterion_08_proxy_correlation(tmp_path_factory, corpus_a,
                                         scene_kwargs=CORPUS_KWARGS)
     assert n_ships == 100
     ds_b, _ = build_dataset_from_scenes(manifest, params)
-    r_truth = proxy_correlation(ship_estimates(ds_b, ds_b.require_labels()),
-                                ship_proxies(ds_b))
+    r_truth = proxy_correlation(ship_estimates(ds_b, ds_b.require_labels()))
     assert r_truth >= 0.95
 
     # boosted-tree out-of-fold predictions from the criterion-6 experiment
     preds = corpus_a_reports["gbt"].predictions()
-    r_gbt = proxy_correlation(ship_estimates(corpus_a, preds),
-                              ship_proxies(corpus_a))
+    r_gbt = proxy_correlation(ship_estimates(corpus_a, preds))
     assert r_gbt >= 0.7
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -368,7 +365,10 @@ def test_criterion_10_format_round_trips(rng):
             labels.append([None, 0, 1][int(rng.integers(0, 3))])
             gids.append(f"{int(rng.integers(1, 999))}_d")
             cols.append(int(rng.integers(0, 18)))
-            feats.append(rng.normal(size=17))
+            f = rng.normal(size=17)
+            # a dataset row needs ship_speed >= 0 and ship_length > 0
+            f[5:7] = np.abs(f[5:7])
+            feats.append(f)
             mh.append(float(rng.normal()))
         text = dataset_to_csv(columns_dataset(gids, feats, mh, labels,
                                               cols=cols))

@@ -128,6 +128,62 @@ class TestBadInputs:
         assert len(err.strip().splitlines()) == 1
         assert "samples CSV line 2: non-finite value 'nan'" in err
 
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "grid-csv line 6: infinite value"),
+        ("x", "grid-csv line 6: could not convert string to float: 'x'"),
+    ], ids=["inf", "bad_token"])
+    def test_bad_grid_cell_exits_1(self, tmp_path, capsys, cell, message):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("#lat_min=31.5\n#lon_min=19.5\n#cell_size=0.045\n"
+                        "#n_rows=2\n#n_cols=2\n1.0," + cell + "\n3.0,4.0\n")
+        assert run(["enhance", "--grid-in", grid,
+                    "--grid-out", tmp_path / "out.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: " + message]
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["111_2019-04-01,0,0,0.9,2,1", "111_2019-04-02,0,0,0.9,1,1"],
+         "line 2: pred must be 0 or 1"),
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,1",
+          "111_2019-04-01,0,0,0.1,0,1"],
+         "line 4: duplicate key 111_2019-04-01,0,0"),
+        (["111_2019-04-01,0,0,0.9,1", "111_2019-04-02,0,0,0.9,1,1"],
+         "line 2: wrong field count"),
+    ], ids=["pred_2", "repeated_key", "field_count"])
+    def test_bad_out_of_fold_rows_exit_1(self, tmp_path, capsys, rows,
+                                         message):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        oof = tmp_path / "oof.csv"
+        oof.write_text("\n".join(["group_id,row,col,score,pred,label", *rows])
+                       + "\n")
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--predictions", oof,
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: out-of-fold CSV " + message]
+
+    @pytest.mark.parametrize("command", ["evaluate", "proxy-report"])
+    @pytest.mark.parametrize("ship, message", [
+        ("8.0,0.0", "ship_length must be > 0"),
+        ("-1.0,100.0", "ship_speed must be >= 0"),
+    ], ids=["zero_length", "negative_speed"])
+    def test_bad_ship_length_or_speed_exits_1(self, tmp_path, capsys,
+                                              command, ship, message):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        dataset.write_text(dataset.read_text().replace(",8.0,100.0,",
+                                                       f",{ship},", 1))
+        assert run([command, "--dataset-file", dataset, "--use-labels", "1",
+                    "--outer-folds", "2", "--n-candidates", "1",
+                    "--report-file", tmp_path / "report.json",
+                    "--pr-file", tmp_path / "pr.csv",
+                    "--oof-file", tmp_path / "oof.csv",
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: dataset CSV line 2: " + message]
+
     @pytest.mark.parametrize("row, message", [
         ("0,scene_000", "line 3: wrong field count"),
         ("0.5,scene_000,1554120000.0", "line 3: invalid literal for int()"),

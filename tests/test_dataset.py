@@ -10,14 +10,13 @@ from shipplume.dataset import (FEATURE_BASE, ShipImage,
                                wind_direction_features)
 from shipplume.grid import GridImage, GridSpec
 from shipplume.sector import ShipSector
-from shipplume.tracks import KNOT_MS, ShipInfo, Track, TrackPoint, WindVector
+from shipplume.tracks import KNOT_MS, ShipInfo, Track, WindVector
 
 T0 = 1554120000.0
 
 
 def track_at(lat, lon, mmsi=1):
-    return Track(mmsi, (TrackPoint(T0 - 600.0, lat, lon),
-                        TrackPoint(T0, lat, lon)))
+    return Track(mmsi, [T0 - 600.0, T0], [lat, lat], [lon, lon])
 
 
 def ship(mmsi, speed_kt, lat, lon, length=200.0):
@@ -52,9 +51,7 @@ class TestSelectShips:
             kept = select_ships(fleet)
             # brute-force oracle: filter, BFS transitive clusters, argmax speed
             fast = [s for s in fleet if s[0].speed_ms / KNOT_MS > 14.0]
-            centers = [(np.mean([p.lat for p in tr.points]),
-                        np.mean([p.lon for p in tr.points]))
-                       for _, tr in fast]
+            centers = [(np.mean(tr.lat), np.mean(tr.lon)) for _, tr in fast]
             unvisited = set(range(len(fast)))
             expect = set()
             while unvisited:
@@ -193,18 +190,45 @@ class TestCsvFormats:
         text = dataset_to_csv(assemble([tiny_ship_image(n=3)],
                                        labels={("1_2019-04-01", 0, 1): 1}))
         lines = text.splitlines()
-        # fields: group_id,row,col, 17 features (3-19), moran_high (20), label
-        for field, token in ((3, "nan"), (4, "inf"), (20, "-inf"),
-                             (21, "2"), (21, "-1"), (21, "x")):
+        # fields: group_id,row,col, 17 features (3-19), moran_high (20), label;
+        # ship_speed is field 8 and ship_length field 9
+        for field, token, message in (
+                (3, "nan", "non-finite"), (4, "inf", "non-finite"),
+                (20, "-inf", "non-finite"), (21, "2", "bad label"),
+                (21, "-1", "bad label"), (21, "x", "bad label"),
+                (9, "0.0", "ship_length must be > 0"),
+                (9, "-5.0", "ship_length must be > 0"),
+                (8, "-0.5", "ship_speed must be >= 0")):
             parts = lines[2].split(",")
             parts[field] = token
             bad = "\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n"
-            with pytest.raises(ValueError, match="dataset CSV line 3"):
+            with pytest.raises(ValueError,
+                               match=f"^dataset CSV line 3: {message}"):
                 parse_dataset_csv(bad)
+
+    def test_zero_ship_speed_accepted(self):
+        text = dataset_to_csv(assemble([tiny_ship_image(n=2)], labels=None))
+        parts = text.splitlines()[1].split(",")
+        parts[8] = "0.0"
+        text = text.replace(text.splitlines()[1], ",".join(parts))
+        assert parse_dataset_csv(text).column("ship_speed")[0] == 0.0
 
     def test_bad_label_value_rejected(self):
         with pytest.raises(ValueError):
             parse_labels_csv("group_id,row,col,label\na_1,0,0,2\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1_d,5,8,1", "1_d,5,8,0"], "line 3: duplicate key 1_d,5,8"),
+        (["1_d,5,8,1", "1_d,5,8,1"], "line 3: duplicate key 1_d,5,8"),
+        (["1_d,5,8"], "line 2: wrong field count"),
+        (["1_d,5,8,1", "1_d,5,x,1"], "line 3: invalid literal for int"),
+        (["1_d,5,8,2"], "line 2: label must be 0 or 1"),
+    ], ids=["conflicting", "repeated", "field_count", "non_integer_col",
+            "label_2"])
+    def test_bad_label_rows_rejected_with_line(self, rows, message):
+        text = "\n".join(["group_id,row,col,label", *rows]) + "\n"
+        with pytest.raises(ValueError, match=f"^labels CSV {message}"):
+            parse_labels_csv(text)
 
     def test_header_shape(self):
         assert len(feature_names()) == 17

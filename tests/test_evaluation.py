@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from shipplume.evaluation import (ShipEstimate,
-                                  average_precision, emission_proxy,
-                                  nested_cv, pearson, pr_curve, pr_metrics,
-                                  proxy_correlation, report_to_json,
-                                  ship_estimates, split_group_id)
+from shipplume.dataset import FEATURE_BASE
+from shipplume.evaluation import (ShipTable, average_precision,
+                                  estimates_to_csv, nested_cv, pearson,
+                                  pr_curve, pr_metrics, proxy_correlation,
+                                  report_to_json, ship_estimates)
 from shipplume.tracks import ShipInfo
 
 from conftest import columns_dataset
@@ -206,35 +206,60 @@ class TestNestedCv:
         assert set(obj["summary"]) == {"precision", "recall", "f1", "ap"}
 
 
+def estimate_dataset(values_by_group, ships=None):
+    """Rows of NO2 values per group; ships maps a group to its
+    (ship_length, ship_speed), 100 m and 1 m/s by default."""
+    gids, rows, no2, ship_rows = [], [], [], []
+    for gid, values in values_by_group.items():
+        gids += [gid] * len(values)
+        rows += range(len(values))
+        no2 += values
+        ship_rows += [(ships or {}).get(gid, (100.0, 1.0))] * len(values)
+    length, speed = np.array(ship_rows).reshape(-1, 2).T
+    X = np.zeros((len(gids), 17))
+    X[:, FEATURE_BASE.index("no2")] = no2
+    X[:, FEATURE_BASE.index("ship_length")] = length
+    X[:, FEATURE_BASE.index("ship_speed")] = speed
+    return columns_dataset(gids, X, np.zeros(len(gids)), [None] * len(gids),
+                           rows=rows)
+
+
+def proxy_of(length, speed):
+    ds = estimate_dataset({"1_d": [1.0]}, {"1_d": (length, speed)})
+    return ship_estimates(ds, [1]).e_s[0]
+
+
+def ship_table(no2_sum, n_plume_pixels, e_s):
+    return ShipTable(group_ids=np.array([f"{i}_d" for i in range(len(e_s))]),
+                     no2_sum=np.array(no2_sum, dtype=float),
+                     n_plume_pixels=np.array(n_plume_pixels),
+                     e_s=np.array(e_s, dtype=float))
+
+
 class TestEmissionProxy:
     def test_direct_formula(self):
-        p = emission_proxy(ShipInfo(mmsi=1, length_m=200.0, speed_ms=8.0))
-        assert p.e_s == 20480000.0
+        assert proxy_of(200.0, 8.0) == 20480000.0
 
     def test_zero_speed(self):
-        p = emission_proxy(ShipInfo(mmsi=1, length_m=100.0, speed_ms=0.0))
-        assert p.e_s == 0.0
+        assert proxy_of(100.0, 0.0) == 0.0
 
     def test_cubic_homogeneity(self):
-        a = emission_proxy(ShipInfo(mmsi=1, length_m=150.0, speed_ms=5.0))
-        b = emission_proxy(ShipInfo(mmsi=1, length_m=150.0, speed_ms=10.0))
-        assert b.e_s == pytest.approx(8 * a.e_s)
+        assert proxy_of(150.0, 10.0) == pytest.approx(8 * proxy_of(150.0, 5.0))
 
     def test_non_positive_length(self):
         with pytest.raises(ValueError):
             ShipInfo(mmsi=1, length_m=0.0, speed_ms=5.0)
 
-
-def estimate_dataset(values_by_group):
-    gids, rows, no2 = [], [], []
-    for gid, values in values_by_group.items():
-        gids += [gid] * len(values)
-        rows += range(len(values))
-        no2 += values
-    X = np.zeros((len(gids), 17))
-    X[:, 1] = no2
-    return columns_dataset(gids, X, np.zeros(len(gids)), [None] * len(gids),
-                           rows=rows)
+    def test_python_float_arithmetic_per_group(self, rng):
+        # each group's own first-row length and speed, with Python-float
+        # powers, which numpy's ** does not match on every input
+        ships = {f"{g}_d": (float(rng.uniform(50, 400)),
+                            float(rng.uniform(0, 15))) for g in range(300)}
+        ds = estimate_dataset({gid: [1.0, 2.0] for gid in ships}, ships)
+        table = ship_estimates(ds, np.ones(len(ds), dtype=int))
+        expect = {gid: length ** 2 * speed ** 3
+                  for gid, (length, speed) in ships.items()}
+        assert dict(zip(table.group_ids.tolist(), table.e_s.tolist())) == expect
 
 
 class TestShipEstimates:
@@ -242,9 +267,10 @@ class TestShipEstimates:
         ds = estimate_dataset({"1_2019-04-01": [1.0, 2.0, 4.0],
                                "2_2019-04-01": [8.0, 16.0]})
         preds = [1, 0, 1, 0, 0]
-        est = ship_estimates(ds, preds)
-        assert est[0] == ShipEstimate(1, "2019-04-01", 5.0, 2)
-        assert est[1] == ShipEstimate(2, "2019-04-01", 0.0, 0)
+        table = ship_estimates(ds, preds)
+        assert table.group_ids.tolist() == ["1_2019-04-01", "2_2019-04-01"]
+        assert table.no2_sum.tolist() == [5.0, 0.0]
+        assert table.n_plume_pixels.tolist() == [2, 0]
 
     def test_running_sum_oracle(self, rng):
         # per-group totals equal a running sum over the rows, bit for bit
@@ -255,34 +281,36 @@ class TestShipEstimates:
         for gid, v, p in zip(ds.group_ids.tolist(), ds.X[:, 1].tolist(),
                              preds.tolist()):
             expect[gid] = expect.get(gid, 0.0) + (v if p else 0.0)
-        est = ship_estimates(ds, preds)
-        assert {e.group_id: e.no2_sum for e in est} == expect
+        table = ship_estimates(ds, preds)
+        assert dict(zip(table.group_ids.tolist(),
+                        table.no2_sum.tolist())) == expect
 
     def test_split_group_id(self):
-        assert split_group_id("12345_2019-07-01") == (12345, "2019-07-01")
+        # the proxy CSV splits each group_id into its mmsi and date
+        ds = estimate_dataset({"12345_2019-07-01": [2.5, 1.0]},
+                              {"12345_2019-07-01": (200.0, 8.0)})
+        assert estimates_to_csv(ship_estimates(ds, [1, 0])) == (
+            "mmsi,date,no2_sum,e_s\n12345,2019-07-01,2.5,20480000.0\n")
 
     def test_proportional_estimates_give_r1(self):
-        est = [ShipEstimate(i, "d", 2.5 * e, 3) for i, e in
-               enumerate([1.0, 2.0, 5.0, 9.0])]
-        proxies = {f"{i}_d": e for i, e in enumerate([1.0, 2.0, 5.0, 9.0])}
-        assert proxy_correlation(est, proxies) == pytest.approx(1.0)
+        e_s = [1.0, 2.0, 5.0, 9.0]
+        table = ship_table([2.5 * e for e in e_s], [3] * 4, e_s)
+        assert proxy_correlation(table) == pytest.approx(1.0)
 
     def test_constant_estimates_zero_variance(self):
-        est = [ShipEstimate(i, "d", 3.0, 1) for i in range(4)]
-        proxies = {f"{i}_d": float(i + 1) for i in range(4)}
+        table = ship_table([3.0] * 4, [1] * 4, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="zero variance"):
-            proxy_correlation(est, proxies)
+            proxy_correlation(table)
 
     def test_zero_prediction_ships_excluded(self):
-        est = [ShipEstimate(0, "d", 1.0, 2), ShipEstimate(1, "d", 2.0, 1),
-               ShipEstimate(2, "d", 99.0, 0)]
-        proxies = {"0_d": 1.0, "1_d": 2.0, "2_d": 50.0}
-        assert proxy_correlation(est, proxies) == pytest.approx(1.0)
+        table = ship_table([1.0, 2.0, 99.0], [2, 1, 0], [1.0, 2.0, 50.0])
+        assert proxy_correlation(table) == pytest.approx(1.0)
 
     def test_insufficient_ships(self):
-        est = [ShipEstimate(0, "d", 1.0, 2)]
-        with pytest.raises(ValueError, match="insufficient ships"):
-            proxy_correlation(est, {"0_d": 1.0})
+        for table in (ship_table([1.0], [2], [1.0]),
+                      ship_table([1.0, 2.0], [2, 0], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="insufficient ships"):
+                proxy_correlation(table)
 
     def test_two_pass_pearson_oracle(self, rng):
         for _ in range(30):

@@ -5,74 +5,75 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shipplume.grid import (GridImage, GridSpec, PointSample, crop,
+from shipplume.grid import (SAMPLE_DTYPE, GridImage, GridSpec, crop,
                             grid_to_csv, parse_grid_csv, parse_samples_csv,
                             quality_filter, regrid, samples_to_csv)
 
 from conftest import random_image
 
 
+def sample_array(*rows):
+    """Samples from (lat, lon, value[, qa, cloud_fraction]) tuples; qa
+    defaults to 1 and cloud_fraction to 0."""
+    return np.array([tuple(r) + (1.0, 0.0)[len(r) - 3:] for r in rows],
+                    dtype=SAMPLE_DTYPE)
+
+
 def make_samples(rng, n, spec, spread=1.2):
     out = []
     for _ in range(n):
-        out.append(PointSample(
-            lat=float(rng.uniform(spec.lat_min - spread * 0.1,
-                                  spec.lat_max + spread * 0.1)),
-            lon=float(rng.uniform(spec.lon_min - spread * 0.1,
-                                  spec.lon_max + spread * 0.1)),
-            value=float(rng.normal()),
-            qa=float(rng.random()),
-            cloud_fraction=float(rng.random())))
-    return out
+        out.append((float(rng.uniform(spec.lat_min - spread * 0.1,
+                                      spec.lat_max + spread * 0.1)),
+                    float(rng.uniform(spec.lon_min - spread * 0.1,
+                                      spec.lon_max + spread * 0.1)),
+                    float(rng.normal()), float(rng.random()),
+                    float(rng.random())))
+    return sample_array(*out)
 
 
 class TestQualityFilter:
     def test_kept_sample(self):
-        s = PointSample(lat=0.0, lon=0.0, value=1.0, qa=0.6, cloud_fraction=0.2)
-        assert quality_filter([s]) == [s]
+        s = sample_array((0.0, 0.0, 1.0, 0.6, 0.2))
+        assert quality_filter(s).tolist() == s.tolist()
 
     def test_boundary_qa_dropped(self):
-        s = PointSample(lat=0.0, lon=0.0, value=1.0, qa=0.5, cloud_fraction=0.2)
-        assert quality_filter([s]) == []
+        s = sample_array((0.0, 0.0, 1.0, 0.5, 0.2))
+        assert len(quality_filter(s)) == 0
 
     def test_boundary_cloud_dropped(self):
-        s = PointSample(lat=0.0, lon=0.0, value=1.0, qa=0.9, cloud_fraction=0.5)
-        assert quality_filter([s]) == []
+        s = sample_array((0.0, 0.0, 1.0, 0.9, 0.5))
+        assert len(quality_filter(s)) == 0
 
     def test_matches_brute_force_scan(self, rng):
         spec = GridSpec(31.5, 19.5, 0.045, 10, 10)
         samples = make_samples(rng, 1000, spec)
         got = quality_filter(samples)
-        expected = [s for s in samples
-                    if s.qa > 0.5 and s.cloud_fraction < 0.5]
-        assert got == expected
+        expected = [s for s in samples.tolist() if s[3] > 0.5 and s[4] < 0.5]
+        assert got.tolist() == expected
 
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1))))
     def test_idempotent(self, qa_cf):
-        samples = [PointSample(lat=0.0, lon=0.0, value=1.0, qa=q,
-                               cloud_fraction=c) for q, c in qa_cf]
+        samples = sample_array(*((0.0, 0.0, 1.0, q, c) for q, c in qa_cf))
         once = quality_filter(samples)
-        assert quality_filter(once) == once
+        assert quality_filter(once).tolist() == once.tolist()
 
 
 class TestRegrid:
     def test_single_sample_at_center(self):
         spec = GridSpec(0.0, 0.0, 1.0, 3, 3)
-        img = regrid([PointSample(lat=1.5, lon=1.5, value=3.0)], spec)
+        img = regrid(sample_array((1.5, 1.5, 3.0)), spec)
         assert img.values[1, 1] == 3.0
         assert img.valid[1, 1]
         assert img.valid.sum() == 1
 
     def test_two_samples_one_cell(self):
         spec = GridSpec(0.0, 0.0, 1.0, 2, 2)
-        img = regrid([PointSample(lat=0.2, lon=0.3, value=2.0),
-                      PointSample(lat=0.8, lon=0.9, value=4.0)], spec)
+        img = regrid(sample_array((0.2, 0.3, 2.0), (0.8, 0.9, 4.0)), spec)
         assert img.values[0, 0] == 3.0
 
     def test_outside_samples_ignored(self):
         spec = GridSpec(0.0, 0.0, 1.0, 2, 2)
-        img = regrid([PointSample(lat=-0.5, lon=0.5, value=9.0),
-                      PointSample(lat=0.5, lon=2.5, value=9.0)], spec)
+        img = regrid(sample_array((-0.5, 0.5, 9.0), (0.5, 2.5, 9.0)), spec)
         assert img.valid.sum() == 0
 
     def test_matches_bucketed_average_oracle(self, rng):
@@ -80,11 +81,11 @@ class TestRegrid:
         samples = make_samples(rng, 500, spec)
         img = regrid(samples, spec)
         buckets = {}
-        for s in samples:
-            r = math.floor((s.lat - spec.lat_min) / spec.cell_size)
-            c = math.floor((s.lon - spec.lon_min) / spec.cell_size)
+        for lat, lon, value, _, _ in samples.tolist():
+            r = math.floor((lat - spec.lat_min) / spec.cell_size)
+            c = math.floor((lon - spec.lon_min) / spec.cell_size)
             if 0 <= r < spec.n_rows and 0 <= c < spec.n_cols:
-                buckets.setdefault((r, c), []).append(s.value)
+                buckets.setdefault((r, c), []).append(value)
         for r in range(spec.n_rows):
             for c in range(spec.n_cols):
                 if (r, c) in buckets:
@@ -161,9 +162,9 @@ class TestCrop:
         h = 0.3
         a = crop(regrid(samples, spec), clat, clon, h)
         sub_spec = a.spec
-        inside = [s for s in samples
-                  if sub_spec.lat_min <= s.lat < sub_spec.lat_max
-                  and sub_spec.lon_min <= s.lon < sub_spec.lon_max]
+        lat, lon = samples["lat"], samples["lon"]
+        inside = samples[(sub_spec.lat_min <= lat) & (lat < sub_spec.lat_max)
+                         & (sub_spec.lon_min <= lon) & (lon < sub_spec.lon_max)]
         b = regrid(inside, sub_spec)
         np.testing.assert_array_equal(a.valid, b.valid)
         np.testing.assert_allclose(a.values[a.valid], b.values[b.valid],
@@ -184,6 +185,16 @@ class TestGridCsv:
         np.testing.assert_array_equal(back.values[back.valid],
                                       img.values[img.valid])
 
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "infinite value"), ("-inf", "infinite value"),
+        ("x", "could not convert string to float: 'x'"),
+    ])
+    def test_bad_cells_rejected_with_line(self, cell, message):
+        text = ("#lat_min=0.0\n#lon_min=0.0\n#cell_size=1.0\n#n_rows=2\n"
+                "#n_cols=2\n1.0,nan\n2.0," + cell + "\n")
+        with pytest.raises(ValueError, match=f"^grid-csv line 7: {message}"):
+            parse_grid_csv(text)
+
     def test_samples_round_trip(self, rng):
         spec = GridSpec(31.5, 19.5, 0.045, 5, 5)
         samples = make_samples(rng, 40, spec)
@@ -191,11 +202,13 @@ class TestGridCsv:
         assert samples_to_csv(parse_samples_csv(text)) == text
 
     def test_samples_bad_rows_rejected_with_line(self):
-        text = samples_to_csv([PointSample(31.5, 19.5, 1.0, 0.9, 0.1)])
+        text = samples_to_csv(sample_array((31.5, 19.5, 1.0, 0.9, 0.1)))
         for bad, message in (("nan,19.5,1.0,0.9,0.1", "non-finite"),
                              ("31.5,19.5,inf,0.9,0.1", "non-finite"),
                              ("31.5,19.5,1.0,0.9", "wrong field count"),
-                             ("31.5,19.5,1.0,1.5,0.1", "qa must lie")):
+                             ("31.5,19.5,1.0,1.5,0.1", "qa must lie"),
+                             ("31.5,19.5,1.0,0.9,-0.1",
+                              "cloud_fraction must lie")):
             with pytest.raises(ValueError,
                                match=f"^samples CSV line 3: {message}"):
                 parse_samples_csv(text + bad + "\n")

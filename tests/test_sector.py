@@ -10,8 +10,8 @@ from shipplume.grid import GridImage, GridSpec, M_PER_DEG_LAT
 from shipplume.sector import (ShipSector, build_sector, normalize,
                               normalize_points, pixels_in_sector,
                               sectors_to_geojson)
-from shipplume.tracks import (WindVector, extreme_tracks, interpolate_track,
-                              wind_shift)
+from shipplume.tracks import (Track, WindVector, extreme_tracks,
+                              interpolate_track, wind_shift)
 
 from test_tracks import T0, straight_records
 
@@ -81,9 +81,11 @@ class TestBuildSector:
     def test_mismatched_tracks_error(self):
         track = interpolate_track(straight_records(), T0)
         left, right = extreme_tracks(track, WindVector(2.0, 1.0), T0)
-        short = type(left)(left.mmsi, left.points[:-1])
-        with pytest.raises(ValueError, match="share timestamps"):
-            build_sector(track, short, right)
+        short = Track(left.mmsi, left.t[:-1], left.lat[:-1], left.lon[:-1])
+        later = Track(left.mmsi, left.t + 1.0, left.lat, left.lon)
+        for bad in (short, later):
+            with pytest.raises(ValueError, match="share timestamps"):
+                build_sector(track, bad, right)
 
     def test_area_matches_shoelace_oracle(self, rng):
         for _ in range(20):
@@ -114,9 +116,7 @@ class TestBuildSector:
                 assert sector.polygon[0] == sector.origin
             # the wind-shifted track (expected plume spine) stays inside
             spine = wind_shift(track, wind, T0)
-            inside = _points_in_polygon(
-                np.array([p.lat for p in spine.points]),
-                np.array([p.lon for p in spine.points]), sector.polygon)
+            inside = _points_in_polygon(spine.lat, spine.lon, sector.polygon)
             assert inside.all()
 
 

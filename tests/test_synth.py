@@ -46,10 +46,10 @@ class TestGenerateScene:
         cell_m = spec.cell_size * 111320.0
         for r, c in zip(rows, cols):
             lat, lon = spec.cell_center(r, c)
-            d = min(math.hypot((lat - p.lat) * 111320.0,
-                               (lon - p.lon) * 111320.0
+            d = min(math.hypot((lat - p_lat) * 111320.0,
+                               (lon - p_lon) * 111320.0
                                * math.cos(math.radians(lat)))
-                    for p in track.points)
+                    for p_lat, p_lon in zip(track.lat, track.lon))
             assert d <= 6 * 1500.0 + cell_m
 
     def test_mass_budget_oracle(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shipplume.grid import M_PER_DEG_LAT
-from shipplume.tracks import (AISRecord, Track, TrackPoint, WindVector,
+from shipplume.tracks import (KNOT_MS, AISRecord, Track, WindVector,
                               ais_to_csv, extreme_tracks, interpolate_track,
                               lookup_wind, parse_ais_csv, parse_registry_csv,
                               parse_wind_csv, registry_to_csv, wind_shift,
@@ -30,12 +30,54 @@ def straight_records(mmsi=1, lat0=32.0, lon0=20.0, heading=90.0, speed=16.0,
     return recs
 
 
+def reference_track(recs, t_overpass, window_s, step_s):
+    """The resampling rule one grid time at a time, in Python floats:
+    linear between records, dead-reckoned up to one step beyond them."""
+    ts = [r.timestamp for r in recs]
+
+    def reckon(rec, t):
+        sp = rec.speed * KNOT_MS
+        north = sp * math.cos(math.radians(rec.heading))
+        east = sp * math.sin(math.radians(rec.heading))
+        return (rec.lat + north * (t - rec.timestamp) / M_PER_DEG_LAT,
+                rec.lon + east * (t - rec.timestamp)
+                / (M_PER_DEG_LAT * math.cos(math.radians(rec.lat))))
+
+    out = []
+    for k in range(int(math.floor(window_s / step_s + 1e-9)), -1, -1):
+        t = t_overpass - k * step_s
+        if t in ts:
+            rec = recs[ts.index(t)]
+            out.append((t, rec.lat, rec.lon))
+        elif ts[0] < t < ts[-1]:
+            i = max(j for j in range(len(ts)) if ts[j] < t)
+            a, b = recs[i], recs[i + 1]
+            w = (t - a.timestamp) / (b.timestamp - a.timestamp)
+            out.append((t, a.lat + w * (b.lat - a.lat),
+                        a.lon + w * (b.lon - a.lon)))
+        elif 0 < ts[0] - t <= step_s:
+            out.append((t, *reckon(recs[0], t)))
+        elif 0 < t - ts[-1] <= step_s:
+            out.append((t, *reckon(recs[-1], t)))
+    return out
+
+
+class TestTrack:
+    def test_timestamps_strictly_increasing(self):
+        for t in ([T0, T0], [T0, T0 - 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Track(1, t, [0.0, 0.0], [0.0, 0.0])
+
+    def test_columns_equal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Track(1, [T0 - 1.0, T0], [0.0], [0.0, 0.0])
+
+
 class TestInterpolateTrack:
     def test_two_endpoint_records_collinear(self):
         track = interpolate_track(straight_records(), T0)
-        assert len(track.points) == 25
-        lats = np.array([p.lat for p in track.points])
-        lons = np.array([p.lon for p in track.points])
+        assert len(track.t) == 25
+        lats, lons = track.lat, track.lon
         # uniform spacing along a line
         np.testing.assert_allclose(np.diff(lats), np.diff(lats)[0], atol=1e-12)
         np.testing.assert_allclose(np.diff(lons), np.diff(lons)[0], atol=1e-12)
@@ -44,7 +86,7 @@ class TestInterpolateTrack:
         track = interpolate_track(straight_records(), T0, window_s=7200,
                                   step_s=300)
         expected = [T0 - k * 300.0 for k in range(24, -1, -1)]
-        assert [p.timestamp for p in track.points] == expected
+        assert track.t.tolist() == expected
 
     def test_piecewise_linear_oracle(self, rng):
         times = sorted(rng.uniform(T0 - 8000, T0 + 100, size=40).tolist())
@@ -53,12 +95,34 @@ class TestInterpolateTrack:
                 for t in times]
         track = interpolate_track(recs, T0)
         ts = [r.timestamp for r in recs]
-        for p in track.points:
-            if ts[0] <= p.timestamp <= ts[-1]:
-                lat = np.interp(p.timestamp, ts, [r.lat for r in recs])
-                lon = np.interp(p.timestamp, ts, [r.lon for r in recs])
-                assert p.lat == pytest.approx(lat, abs=1e-12)
-                assert p.lon == pytest.approx(lon, abs=1e-12)
+        for t, plat, plon in zip(track.t, track.lat, track.lon):
+            if ts[0] <= t <= ts[-1]:
+                lat = np.interp(t, ts, [r.lat for r in recs])
+                lon = np.interp(t, ts, [r.lon for r in recs])
+                assert plat == pytest.approx(lat, abs=1e-12)
+                assert plon == pytest.approx(lon, abs=1e-12)
+
+    def test_matches_scalar_reference_bit_for_bit(self, rng):
+        # random record times give interpolated, exact-hit, dead-reckoned
+        # and truncated grid times; steps of 250 s put grid times on records
+        for trial in range(200):
+            n = int(rng.integers(2, 10))
+            if trial % 2:
+                times = sorted(set((T0 - 250.0 * rng.integers(-2, 35, n)).tolist()))
+            else:
+                times = sorted(rng.uniform(T0 - 9000, T0 + 500, n).tolist())
+            recs = [AISRecord(3, t, float(rng.uniform(-60, 60)),
+                              float(rng.uniform(-180, 180)),
+                              float(rng.uniform(0, 30)),
+                              float(rng.uniform(0, 360))) for t in times]
+            expected = reference_track(recs, T0, 7200.0, 250.0)
+            if len(expected) < 2:
+                with pytest.raises(ValueError, match="insufficient AIS"):
+                    interpolate_track(recs, T0, step_s=250.0)
+                continue
+            track = interpolate_track(recs, T0, step_s=250.0)
+            assert list(zip(track.t.tolist(), track.lat.tolist(),
+                            track.lon.tolist())) == expected
 
     def test_single_record_error(self):
         with pytest.raises(ValueError, match="insufficient AIS coverage"):
@@ -68,39 +132,49 @@ class TestInterpolateTrack:
         # records cover only the last half hour; earlier grid times drop
         recs = straight_records(times=[T0 - 1800, T0])
         track = interpolate_track(recs, T0)
-        assert track.points[0].timestamp == T0 - 2100  # one step of reckoning
-        assert all(p.timestamp >= T0 - 2100 for p in track.points)
+        assert track.t[0] == T0 - 2100  # one step of reckoning
+        assert np.all(track.t >= T0 - 2100)
 
 
 class TestWindShift:
     def test_zero_wind_identity(self):
         track = interpolate_track(straight_records(), T0)
         shifted = wind_shift(track, WindVector(0.0, 0.0), T0)
-        for a, b in zip(track.points, shifted.points):
-            assert (a.lat, a.lon) == (b.lat, b.lon)
+        np.testing.assert_array_equal(shifted.lat, track.lat)
+        np.testing.assert_array_equal(shifted.lon, track.lon)
 
     def test_hand_computed_advection(self):
-        track = Track(1, (TrackPoint(T0 - 3600.0, 0.0, 10.0),
-                          TrackPoint(T0, 0.0, 10.1)))
+        track = Track(1, [T0 - 3600.0, T0], [0.0, 0.0], [10.0, 10.1])
         shifted = wind_shift(track, WindVector(10.0, 0.0), T0)
-        assert shifted.points[0].lon - 10.0 == pytest.approx(
+        assert shifted.lon[0] - 10.0 == pytest.approx(
             36000.0 / M_PER_DEG_LAT, abs=1e-9)
-        assert shifted.points[0].lat == 0.0
+        assert shifted.lat[0] == 0.0
 
     def test_overpass_point_unchanged(self):
         track = interpolate_track(straight_records(), T0)
         shifted = wind_shift(track, WindVector(12.0, -7.0), T0)
-        assert shifted.points[-1].lat == track.points[-1].lat
-        assert shifted.points[-1].lon == track.points[-1].lon
+        assert shifted.lat[-1] == track.lat[-1]
+        assert shifted.lon[-1] == track.lon[-1]
+
+    def test_matches_scalar_reference_bit_for_bit(self, rng):
+        track = Track(1, T0 - 300.0 * np.arange(24, -1, -1),
+                      rng.uniform(-75, 75, 25), rng.uniform(-1, 1, 25))
+        wind = WindVector(-7.5, 11.25)
+        shifted = wind_shift(track, wind, T0)
+        for t, lat, lon, s_lat, s_lon in zip(
+                *(a.tolist() for a in (track.t, track.lat, track.lon,
+                                       shifted.lat, shifted.lon))):
+            dt = T0 - t
+            assert s_lat == lat + wind.v * dt / M_PER_DEG_LAT
+            assert s_lon == lon + wind.u * dt / (
+                M_PER_DEG_LAT * math.cos(math.radians(lat)))
 
     def test_linear_in_elapsed_time(self):
         lat = 45.0
-        track = Track(1, (TrackPoint(T0 - 2400.0, lat, 5.0),
-                          TrackPoint(T0 - 1200.0, lat, 5.0),
-                          TrackPoint(T0, lat, 5.0)))
+        track = Track(1, [T0 - 2400.0, T0 - 1200.0, T0], [lat] * 3, [5.0] * 3)
         shifted = wind_shift(track, WindVector(4.0, 3.0), T0)
-        d1 = (shifted.points[1].lat - lat, shifted.points[1].lon - 5.0)
-        d2 = (shifted.points[0].lat - lat, shifted.points[0].lon - 5.0)
+        d1 = (shifted.lat[1] - lat, shifted.lon[1] - 5.0)
+        d2 = (shifted.lat[0] - lat, shifted.lon[0] - 5.0)
         assert d2[0] == pytest.approx(2 * d1[0], rel=1e-12)
         assert d2[1] == pytest.approx(2 * d1[1], rel=1e-12)
 
@@ -111,20 +185,18 @@ class TestExtremeTracks:
         wind = WindVector(3.0, 4.0)
         plus, minus = extreme_tracks(track, wind, T0, dspeed=0.0, dangle=0.0)
         base = wind_shift(track, wind, T0)
-        for a, b, c in zip(base.points, plus.points, minus.points):
-            assert (a.lat, a.lon) == pytest.approx((b.lat, b.lon))
-            assert (a.lat, a.lon) == pytest.approx((c.lat, c.lon))
+        for ext in (plus, minus):
+            np.testing.assert_allclose(ext.lat, base.lat)
+            np.testing.assert_allclose(ext.lon, base.lon)
 
     def test_rotation_oracle_90_degrees(self):
-        track = Track(1, (TrackPoint(T0 - 3600.0, 0.0, 10.0),
-                          TrackPoint(T0, 0.0, 10.0)))
+        track = Track(1, [T0 - 3600.0, T0], [0.0, 0.0], [10.0, 10.0])
         plus, minus = extreme_tracks(track, WindVector(10.0, 0.0), T0,
                                      dspeed=0.0, dangle=90.0)
 
         def implied_wind(shifted):
-            p = shifted.points[0]
-            u = (p.lon - 10.0) * M_PER_DEG_LAT / 3600.0
-            v = (p.lat - 0.0) * M_PER_DEG_LAT / 3600.0
+            u = float(shifted.lon[0] - 10.0) * M_PER_DEG_LAT / 3600.0
+            v = float(shifted.lat[0] - 0.0) * M_PER_DEG_LAT / 3600.0
             return round(u, 6), round(v, 6)
 
         # counterclockwise-positive rotation of (10, 0) by +-90 degrees
@@ -132,35 +204,30 @@ class TestExtremeTracks:
         assert implied_wind(minus) == (0.0, -10.0)
 
     def test_default_magnitude_margin(self):
-        track = Track(1, (TrackPoint(T0 - 3600.0, 0.0, 10.0),
-                          TrackPoint(T0, 0.0, 10.0)))
+        track = Track(1, [T0 - 3600.0, T0], [0.0, 0.0], [10.0, 10.0])
         wind = WindVector(3.0, 4.0)
         plus, _ = extreme_tracks(track, wind, T0)
-        p = plus.points[0]
-        u = (p.lon - 10.0) * M_PER_DEG_LAT / 3600.0
-        v = p.lat * M_PER_DEG_LAT / 3600.0
+        u = (plus.lon[0] - 10.0) * M_PER_DEG_LAT / 3600.0
+        v = plus.lat[0] * M_PER_DEG_LAT / 3600.0
         assert math.hypot(u, v) == pytest.approx(wind.speed + 5.0, rel=1e-9)
 
     def test_mirror_images_about_boosted_wind_shift(self):
         # with the unperturbed magnitude already |w| + dspeed, the two extremes
         # are reflections of each other across the wind-shifted track
-        track = Track(1, tuple(TrackPoint(T0 - 600.0 * k, 0.0, 10.0 + 0.01 * k)
-                               for k in range(5, -1, -1)))
+        k = np.arange(5, -1, -1)
+        track = Track(1, T0 - 600.0 * k, np.zeros(6), 10.0 + 0.01 * k)
         wind = WindVector(6.0, 2.0)
         boosted = WindVector(wind.u * (wind.speed + 5) / wind.speed,
                              wind.v * (wind.speed + 5) / wind.speed)
         plus, minus = extreme_tracks(track, wind, T0, dspeed=5.0, dangle=30.0)
-        spine = wind_shift(track, boosted, T0)
         axis = np.array([boosted.u, boosted.v]) / boosted.speed
-        for p, m, s, o in zip(plus.points, minus.points, spine.points,
-                              track.points):
-            dp = np.array([p.lon - o.lon, p.lat - o.lat])
-            dm = np.array([m.lon - o.lon, m.lat - o.lat])
-            ds = np.array([s.lon - o.lon, s.lat - o.lat])
+        for i in range(len(track.t)):
+            dp = np.array([plus.lon[i] - track.lon[i], plus.lat[i] - track.lat[i]])
+            dm = np.array([minus.lon[i] - track.lon[i],
+                           minus.lat[i] - track.lat[i]])
             # reflect dp across the spine direction; lat 0 so no cos distortion
             refl = 2 * np.dot(dp, axis) * axis - dp
             np.testing.assert_allclose(refl, dm, atol=1e-12)
-            del ds
 
 
 class TestCsvFormats:
