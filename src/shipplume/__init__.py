@@ -2,7 +2,7 @@
 gridded rasters, with a built-in synthetic-scene generator for verification."""
 
 from .dataset import LabeledDataset, assemble, select_ships
-from .enhance import QUEEN, ContiguityKernel, MoranStats, moran_enhance, moran_on_high
+from .enhance import QUEEN, MoranStats, moran_enhance, moran_on_high
 from .evaluation import (CVReport, Metrics, ShipTable, average_precision,
                          nested_cv, pr_metrics, proxy_correlation,
                          ship_estimates)

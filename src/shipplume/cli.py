@@ -128,8 +128,7 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 
 def pipeline_params(cfg: dict) -> PipelineParams:
-    return PipelineParams(qa_min=cfg["qa-min"], cloud_max=cfg["cloud-max"],
-                          half_extent=cfg["crop-half-extent"],
+    return PipelineParams(half_extent=cfg["crop-half-extent"],
                           window_s=cfg["track-window-s"],
                           step_s=cfg["track-step-s"],
                           dspeed=cfg["wind-dspeed"], dangle=cfg["wind-dangle"],
@@ -146,18 +145,11 @@ def grid_spec(cfg: dict) -> GridSpec:
 
 
 def base_params(cfg: dict) -> dict:
-    family = cfg["model"]
-    if family == "gbt":
-        return {"n_trees": cfg["gbt-n-trees"], "max_depth": cfg["gbt-max-depth"],
-                "learning_rate": cfg["gbt-learning-rate"],
-                "subsample": cfg["gbt-subsample"],
-                "colsample": cfg["gbt-colsample"],
-                "min_child_weight": cfg["gbt-min-child-weight"],
-                "gamma": cfg["gbt-gamma"], "reg_alpha": cfg["gbt-reg-alpha"]}
-    if family == "logistic":
-        return {"l2": cfg["logistic-l2"], "max_iter": cfg["logistic-max-iter"],
-                "lr": cfg["logistic-lr"]}
-    return {}
+    """The model's fit parameters from its <model>-* keys, so gbt-max-depth
+    becomes max_depth; families without such keys get none."""
+    prefix = cfg["model"] + "-"
+    return {key[len(prefix):].replace("-", "_"): value
+            for key, value in cfg.items() if key.startswith(prefix)}
 
 
 def cmd_synth(cfg: dict) -> None:
@@ -266,8 +258,8 @@ def _predictions_for_proxy(cfg: dict, dataset) -> np.ndarray:
         return ev.oof_predictions(dataset,
                                   Path(cfg["predictions"]).read_text())
     model = md.parse_model_json(Path(cfg["model-file"]).read_text())
-    return md.predict_labels(model, dataset.X, dataset.moran_high,
-                             cutoff=cfg["cutoff"])
+    scores = md.predict_scores(model, dataset.X, dataset.moran_high)
+    return md.predict_labels(model, scores, cutoff=cfg["cutoff"])
 
 
 def cmd_proxy_report(cfg: dict) -> None:

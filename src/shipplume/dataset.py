@@ -186,10 +186,11 @@ def labels_to_csv(labels: dict[tuple[str, int, int], int]) -> str:
 
 
 def parse_pixel_flags(text: str, header: str, kind: str, flag: str,
-                      ) -> dict[tuple[str, int, int], int]:
+                      check=None) -> dict[tuple[str, int, int], int]:
     """{(group_id, row, col): flag} from a CSV whose rows start with the
     pixel key and whose `flag` column holds 0 or 1; a repeated key is
-    rejected, and any error names the file kind and the line number."""
+    rejected, check(fields), if given, vets the other columns, and any error
+    names the file kind and the line number."""
     at = header.split(",").index(flag)
     out: dict[tuple[str, int, int], int] = {}
 
@@ -199,6 +200,8 @@ def parse_pixel_flags(text: str, header: str, kind: str, flag: str,
             raise ValueError(f"duplicate key {','.join(fields[:3])}")
         if fields[at] not in ("0", "1"):
             raise ValueError(f"{flag} must be 0 or 1")
+        if check is not None:
+            check(fields)
         out[key] = int(fields[at])
 
     _parse_rows(text, header, kind, add)

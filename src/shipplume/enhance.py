@@ -5,8 +5,8 @@ For pixel i the statistic is
     I_i = (x_i - mu) / sigma^2 * sum_j w_ij (x_j - mu)
 
 with mu and sigma^2 (population variance) taken over all valid pixels of the
-image and w_ij a binary contiguity kernel. Neighbors outside the image or
-invalid contribute nothing. Contiguous clusters of unusual values score high,
+image and w_ij the binary queen-contiguity kernel (the 8 surrounding
+cells). Neighbors outside the image or invalid contribute nothing. Contiguous clusters of unusual values score high,
 isolated noise pixels do not.
 """
 
@@ -18,21 +18,10 @@ import numpy as np
 
 from .grid import GridImage
 
-
-@dataclass(frozen=True)
-class ContiguityKernel:
-    """Binary neighbor weights given as (drow, dcol) offsets."""
-
-    offsets: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if (0, 0) in self.offsets:
-            raise ValueError("a pixel cannot neighbor itself")
-
-
-QUEEN = ContiguityKernel(offsets=((-1, -1), (-1, 0), (-1, 1),
-                                  (0, -1), (0, 1),
-                                  (1, -1), (1, 0), (1, 1)))
+# (drow, dcol) offsets of a pixel's queen-contiguity neighbors
+QUEEN = ((-1, -1), (-1, 0), (-1, 1),
+         (0, -1), (0, 1),
+         (1, -1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +53,7 @@ def _shifted(a: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def moran_enhance(image: GridImage, kernel: ContiguityKernel = QUEEN) -> GridImage:
+def moran_enhance(image: GridImage) -> GridImage:
     """Replace each valid pixel by its local Moran's I; invalid pixels stay
     invalid. Raises on constant images (zero variance) or fewer than two
     valid pixels."""
@@ -73,14 +62,14 @@ def moran_enhance(image: GridImage, kernel: ContiguityKernel = QUEEN) -> GridIma
         raise ValueError("constant image")
     dev = np.where(image.valid, image.values - stats.mean, 0.0)
     acc = np.zeros_like(dev)
-    for dr, dc in kernel.offsets:
+    for dr, dc in QUEEN:
         acc += _shifted(dev, dr, dc)
     out = (image.values - stats.mean) / stats.variance * acc
     values = np.where(image.valid, out, np.nan)
     return GridImage(image.spec, values, image.valid.copy())
 
 
-def moran_on_high(image: GridImage, kernel: ContiguityKernel = QUEEN) -> GridImage:
+def moran_on_high(image: GridImage) -> GridImage:
     """Zero every valid pixel strictly below the median of the valid pixels,
     then apply the Moran's I enhancement to the modified image."""
     vals = image.valid_values()
@@ -88,4 +77,4 @@ def moran_on_high(image: GridImage, kernel: ContiguityKernel = QUEEN) -> GridIma
         raise ValueError("insufficient pixels")
     med = float(np.median(vals))
     values = np.where(image.valid & (image.values < med), 0.0, image.values)
-    return moran_enhance(GridImage(image.spec, values, image.valid.copy()), kernel)
+    return moran_enhance(GridImage(image.spec, values, image.valid.copy()))

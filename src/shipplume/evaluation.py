@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import LabeledDataset, parse_pixel_flags
-from .grid import fmt_float
+from .grid import _finite, fmt_float
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family, predict_labels,
                      predict_scores, sample_params)
 
@@ -164,37 +164,39 @@ def _rows_of(groups: list[str], table: dict[str, np.ndarray]) -> np.ndarray:
 
 def _candidate_score(family: str, X, y, aux, params, seed,
                      inner_splits: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Mean inner-fold AP (multivariate) or F1 (threshold baselines);
-    inner folds whose validation part has no positives are skipped."""
+    """Mean inner-fold AP; inner folds whose validation part has no positives
+    (or whose fit part has one class only) are skipped."""
     scores = []
     for tr, va in inner_splits:
         if va.size == 0 or y[va].sum() == 0 or y[tr].min() == y[tr].max():
             continue
         model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
-        s = predict_scores(model, X[va], aux[va])
-        if family in ("no2", "moran", "moran-high"):
-            m = pr_metrics(y[va], predict_labels(model, X[va], aux[va]))
-            scores.append(m.f1)
-        else:
-            scores.append(average_precision(y[va], s))
+        scores.append(average_precision(y[va], predict_scores(model, X[va],
+                                                              aux[va])))
     if not scores:
         return -1.0
     return float(np.mean(scores))
 
 
-def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
-              n_outer: int = 5, n_inner: int = 5, n_candidates: int = 10,
-              seed: int = 0, base_params: dict | None = None) -> CVReport:
+def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
+              n_inner: int = 5, n_candidates: int = 10, seed: int = 0,
+              base_params: dict | None = None) -> CVReport:
     """Group-wise nested cross-validation with randomized search.
 
     The outer loop holds out whole groups for evaluation; the inner loop
-    samples n_candidates hyperparameter sets and selects by mean inner AP
-    (F1 for threshold baselines). With a single candidate or an empty search
-    space the inner loop degenerates to plain group k-fold CV.
+    samples n_candidates hyperparameter sets from the family's search space
+    and selects by mean inner AP. With a single candidate, or for the
+    threshold baselines (no search space), the inner loop is skipped and the
+    evaluation is plain group k-fold CV.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown model family: {family}")
-    space = DEFAULT_SPACES[family] if search_space is None else search_space
+    if n_outer < 2 or n_inner < 2:
+        raise ValueError(f"outer and inner fold counts must be >= 2, got "
+                         f"{n_outer} and {n_inner}")
+    if n_candidates < 1:
+        raise ValueError(f"candidate count must be >= 1, got {n_candidates}")
+    space = DEFAULT_SPACES.get(family, {})
     X = ds.X
     y = ds.require_labels()
     aux = ds.moran_high
@@ -246,13 +248,9 @@ def nested_cv(ds: LabeledDataset, family: str, search_space: dict | None = None,
 
         model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
         s = predict_scores(model, X[te], aux[te])
-        p = predict_labels(model, X[te], aux[te])
-        m = pr_metrics(y[te], p)
-        ap = average_precision(y[te], s)
-        folds.append(FoldResult(fold=k, params=params,
-                                metrics=Metrics(precision=m.precision,
-                                                recall=m.recall, f1=m.f1,
-                                                ap=ap, support=m.support)))
+        p = predict_labels(model, s)
+        m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
+        folds.append(FoldResult(fold=k, params=params, metrics=m))
         pooled.append((te, s, p))
 
     summary = {}
@@ -355,10 +353,18 @@ def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_oof_row(fields: list[str]) -> None:
+    """An out-of-fold row's score must be a finite number, its label 0 or 1."""
+    _finite(fields[3])
+    if fields[5] not in ("0", "1"):
+        raise ValueError("label must be 0 or 1")
+
+
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:
     """The binary predictions of an out-of-fold CSV in dataset row order;
     every dataset row needs one."""
-    table = parse_pixel_flags(text, OOF_HEADER, "out-of-fold", "pred")
+    table = parse_pixel_flags(text, OOF_HEADER, "out-of-fold", "pred",
+                              check=_check_oof_row)
     keys = zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist())
     try:
         return np.array([table[key] for key in keys], dtype=int)

@@ -33,6 +33,9 @@ class GridSpec:
     n_cols: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("lat_min", "lon_min", "cell_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be > 0")
         if self.n_rows < 1 or self.n_cols < 1:
@@ -78,9 +81,6 @@ class GridImage:
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.valid]
-
-    def copy(self) -> "GridImage":
-        return GridImage(self.spec, self.values.copy(), self.valid.copy())
 
 
 # Scattered observations with their quality descriptors, one record per

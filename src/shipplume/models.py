@@ -17,17 +17,19 @@ from scipy.special import expit
 
 from .dataset import FEATURE_BASE
 
-THRESHOLD_FEATURES = ("no2", "moran", "moran_on_high")
+# threshold-baseline model family -> the single feature it thresholds
+THRESHOLD_FEATURES = {"no2": "no2", "moran": "moran",
+                      "moran-high": "moran_on_high"}
 GBT_LAMBDA = 1.0  # hessian (L2) regularizer on leaf weights
 
 
 @dataclass(frozen=True)
 class ThresholdModel:
-    feature: str        # one of THRESHOLD_FEATURES
+    feature: str        # one of THRESHOLD_FEATURES.values()
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.feature not in THRESHOLD_FEATURES:
+        if self.feature not in THRESHOLD_FEATURES.values():
             raise ValueError(f"unknown threshold feature: {self.feature}")
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
@@ -112,12 +114,8 @@ def fit_threshold_values(values: np.ndarray, y: np.ndarray) -> float:
     tp = suffix_pos[starts]
     pp = n - starts
     f1 = 2.0 * tp / (pp + n_pos)  # 2tp + fp + fn = pp + n_pos
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    best = 0
-    for i in range(1, len(mids)):
-        if f1[i] > f1[best]:
-            best = i
-    return float(mids[best])
+    best = int(np.argmax(f1))  # the first maximum
+    return float((uniq[best] + uniq[best + 1]) / 2.0)
 
 
 # --- logistic regression ---------------------------------------------------
@@ -339,11 +337,10 @@ def predict_scores(model, X, moran_high: np.ndarray | None = None) -> np.ndarray
     raise TypeError(f"unknown model type: {type(model).__name__}")
 
 
-def predict_labels(model, X, moran_high: np.ndarray | None = None,
-                   cutoff: float = 0.5) -> np.ndarray:
-    """Binary predictions; threshold models compare against their own fitted
-    threshold, probabilistic models against the cutoff."""
-    scores = predict_scores(model, X, moran_high)
+def predict_labels(model, scores: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
+    """Binary predictions from the scores predict_scores returned for the
+    model; threshold models compare against their own fitted threshold,
+    probabilistic models against the cutoff."""
     if isinstance(model, ThresholdModel):
         return (scores >= model.threshold).astype(int)
     return (scores >= cutoff).astype(int)
@@ -439,12 +436,10 @@ def _model_from_obj(obj: dict):
 
 # --- model families for cross-validation ------------------------------------
 
-FAMILY_NAMES = ("no2", "moran", "moran-high", "logistic", "gbt")
+FAMILY_NAMES = (*THRESHOLD_FEATURES, "logistic", "gbt")
 
+# randomized-search space per family; the threshold baselines have none
 DEFAULT_SPACES: dict[str, dict] = {
-    "no2": {},
-    "moran": {},
-    "moran-high": {},
     "logistic": {
         "l2": ("choice", (1e-4, 1e-3, 1e-2, 1e-1, 1.0)),
         "max_iter": ("choice", (200, 500, 1000)),
@@ -459,9 +454,6 @@ DEFAULT_SPACES: dict[str, dict] = {
         "reg_alpha": ("choice", (0.0, 1e-5, 5e-4, 1e-3, 1e-2, 0.1, 1.0)),
     },
 }
-
-_THRESHOLD_BY_FAMILY = {"no2": "no2", "moran": "moran",
-                        "moran-high": "moran_on_high"}
 
 
 def sample_params(space: dict, rng: np.random.Generator) -> dict:
@@ -482,8 +474,8 @@ def sample_params(space: dict, rng: np.random.Generator) -> dict:
 def fit_family(family: str, X: np.ndarray, y: np.ndarray,
                moran_high: np.ndarray, params: dict | None = None,
                seed: int = 0):
-    if family in _THRESHOLD_BY_FAMILY:
-        feature = _THRESHOLD_BY_FAMILY[family]
+    if family in THRESHOLD_FEATURES:
+        feature = THRESHOLD_FEATURES[family]
         values = _threshold_values(feature, X, moran_high)
         return ThresholdModel(feature=feature,
                               threshold=fit_threshold_values(values, y))

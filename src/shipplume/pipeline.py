@@ -24,8 +24,6 @@ from .tracks import (AISRecord, ShipInfo, Track, WindSample, WindVector,
 
 @dataclass(frozen=True)
 class PipelineParams:
-    qa_min: float = 0.5
-    cloud_max: float = 0.5
     half_extent: float = 0.4
     window_s: float = 7200.0
     step_s: float = 300.0
@@ -188,26 +186,33 @@ def read_scene_dir(path: str | Path):
 
 
 def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
-                              with_labels: bool = True,
                               ) -> tuple[LabeledDataset, dict[str, int]]:
-    """Assemble the feature dataset for every scene listed in a manifest."""
+    """Assemble the feature dataset for every scene listed in a manifest.
+
+    A group_id is one ship on one UTC day, so a ship imaged in two scenes of
+    the same day is rejected, naming both scene directories."""
     refs = read_manifest(manifest_path)
     all_images: list[ShipImage] = []
     all_labels: dict[tuple[str, int, int], int] = {}
     have_labels = False
     counts: dict[str, int] = {}
+    scene_of: dict[str, Path] = {}
     for ref in refs:
         image, records, wind, registry, labels = read_scene_dir(ref.path)
         images, skipped = build_ship_images(image, records, wind, registry,
                                             ref.t_overpass, params)
+        for img in images:
+            if img.group_id in scene_of:
+                raise ValueError(f"group_id {img.group_id} occurs in scenes "
+                                 f"{scene_of[img.group_id]} and {ref.path}")
+            scene_of[img.group_id] = ref.path
         all_images.extend(images)
         for reason, n in skipped.items():
             counts[reason] = counts.get(reason, 0) + n
-        if with_labels and labels is not None:
+        if labels is not None:
             have_labels = True
             all_labels.update(labels)
-    label_table = all_labels if (with_labels and have_labels) else None
-    ds = assemble(all_images, label_table,
+    ds = assemble(all_images, all_labels if have_labels else None,
                   n_levels=params.n_levels, n_subsectors=params.n_subsectors)
     counts["ships"] = len(all_images)
     return ds, counts

@@ -5,6 +5,7 @@ import pytest
 from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header
 from shipplume.fileio import write_atomic
+from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
 
 def run(argv):
@@ -150,7 +151,16 @@ class TestBadInputs:
          "line 4: duplicate key 111_2019-04-01,0,0"),
         (["111_2019-04-01,0,0,0.9,1", "111_2019-04-02,0,0,0.9,1,1"],
          "line 2: wrong field count"),
-    ], ids=["pred_2", "repeated_key", "field_count"])
+        (["111_2019-04-01,0,0,abc,1,1", "111_2019-04-02,0,0,0.9,1,1"],
+         "line 2: could not convert string to float: 'abc'"),
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,nan,1,1"],
+         "line 3: non-finite value 'nan'"),
+        (["111_2019-04-01,0,0,0.9,1,7", "111_2019-04-02,0,0,0.9,1,1"],
+         "line 2: label must be 0 or 1"),
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,x"],
+         "line 3: label must be 0 or 1"),
+    ], ids=["pred_2", "repeated_key", "field_count", "score_abc", "score_nan",
+            "label_7", "label_x"])
     def test_bad_out_of_fold_rows_exit_1(self, tmp_path, capsys, rows,
                                          message):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -197,6 +207,61 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "scenes manifest CSV " + message in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--inner-folds", "0", "--n-candidates", "3"],
+         "outer and inner fold counts must be >= 2, got 5 and 0"),
+        (["--outer-folds", "0"],
+         "outer and inner fold counts must be >= 2, got 0 and 5"),
+        (["--outer-folds", "1"],
+         "outer and inner fold counts must be >= 2, got 1 and 5"),
+        (["--n-candidates", "0"], "candidate count must be >= 1, got 0"),
+    ], ids=["inner_0", "outer_0", "outer_1", "candidates_0"])
+    def test_bad_fold_or_candidate_count_exits_1(self, tmp_path, capsys,
+                                                 flags, message):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        report = tmp_path / "report.json"
+        assert run(["evaluate", "--dataset-file", dataset,
+                    "--model", "logistic", "--report-file", report,
+                    "--pr-file", tmp_path / "pr.csv",
+                    "--oof-file", tmp_path / "oof.csv", *flags]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: " + message]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lat_min", "nan"), ("lon_min", "-inf"), ("cell_size", "inf"),
+    ])
+    def test_nonfinite_grid_header_exits_1(self, tmp_path, capsys, key,
+                                           value):
+        header = {"lat_min": "31.5", "lon_min": "19.5", "cell_size": "0.045",
+                  "n_rows": "2", "n_cols": "2"}
+        header[key] = value
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(f"#{k}={v}\n" for k, v in header.items())
+                        + "1.0,2.0\n3.0,4.0\n")
+        out = tmp_path / "out.csv"
+        assert run(["enhance", "--grid-in", grid, "--grid-out", out]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {key} must be finite"]
+        assert not out.exists()
+
+    def test_same_day_revisit_exits_1(self, tmp_path, capsys):
+        # scene 1 is 100 min after scene 0 and shows the same ships
+        t0 = 1554120000.0
+        manifest = ["scene,dir,t_overpass"]
+        for s, t in enumerate((t0, t0 + 6000.0)):
+            scene = generate_scene(SceneConfig(seed=s, t_overpass=t))
+            scene_to_inputs(scene, tmp_path / f"scene_{s}")
+            manifest.append(f"{s},scene_{s},{t!r}")
+        (tmp_path / "scenes.csv").write_text("\n".join(manifest) + "\n")
+        dataset = tmp_path / "dataset.csv"
+        assert run(["features", "--scenes-dir", tmp_path,
+                    "--dataset-file", dataset]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: group_id 200000001_2019-04-01 occurs in scenes "
+            f"{tmp_path / 'scene_0'} and {tmp_path / 'scene_1'}"]
+        assert not dataset.exists()
 
 
 class TestWriteAtomic:

@@ -176,8 +176,9 @@ class TestLogistic:
         X2[:, 1] *= 2.0
         m2 = fit_logistic_arrays(X2, y, l2=1e-3, max_iter=300, lr=0.5,
                                  n_continuous=4)
-        np.testing.assert_array_equal(predict_labels(m1, X),
-                                      predict_labels(m2, X2))
+        np.testing.assert_array_equal(
+            predict_labels(m1, predict_scores(m1, X)),
+            predict_labels(m2, predict_scores(m2, X2)))
         np.testing.assert_array_equal(predict_scores(m1, X),
                                       predict_scores(m2, X2))
 
@@ -296,7 +297,7 @@ class TestPrediction:
     def test_threshold_model_uses_fitted_threshold(self, rng):
         X = random_features(rng, 20)
         m = ThresholdModel(feature="no2", threshold=0.25)
-        labels = predict_labels(m, X)
+        labels = predict_labels(m, predict_scores(m, X))
         np.testing.assert_array_equal(
             labels, (X[:, FEATURE_BASE.index("no2")] >= 0.25).astype(int))
 
