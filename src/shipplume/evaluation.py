@@ -8,15 +8,15 @@ fold, in both the outer evaluation loop and the inner selection loop.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import LabeledDataset, parse_pixel_flags
 from .grid import _finite, fmt_float
-from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family, predict_labels,
-                     predict_scores, sample_params)
+from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family,
+                     fit_logistic_path, predict_labels, predict_scores,
+                     sample_params)
 
 
 @dataclass(frozen=True)
@@ -157,25 +157,33 @@ def _deal(items: list[str], n_folds: int, rng: np.random.Generator,
 
 
 def _rows_of(groups: list[str], table: dict[str, np.ndarray]) -> np.ndarray:
-    if not groups:
-        return np.array([], dtype=int)
     return np.concatenate([table[g] for g in groups])
 
 
-def _candidate_score(family: str, X, y, aux, params, seed,
-                     inner_splits: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Mean inner-fold AP; inner folds whose validation part has no positives
-    (or whose fit part has one class only) are skipped."""
-    scores = []
+def _search_scores(family: str, X, y, aux, candidates: list[dict], seed,
+                   inner_splits: list[tuple]) -> list[float]:
+    """Mean inner-fold AP of every candidate, -1 if no fold has validation
+    positives and a two-class fit part. On each split, logistic candidates
+    that differ only in max_iter share one descent, duplicates one fit."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cand in enumerate(candidates):
+        key = {**cand, "max_iter": 0} if family == "logistic" else cand
+        groups.setdefault(tuple(sorted(key.items())), []).append(i)
+    aps: list[list[float]] = [[] for _ in candidates]
     for tr, va in inner_splits:
         if va.size == 0 or y[va].sum() == 0 or y[tr].min() == y[tr].max():
             continue
-        model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
-        scores.append(average_precision(y[va], predict_scores(model, X[va],
-                                                              aux[va])))
-    if not scores:
-        return -1.0
-    return float(np.mean(scores))
+        for members in groups.values():
+            sets = [candidates[i] for i in members]
+            if family == "logistic":
+                fits = fit_logistic_path(X[tr], y[tr], sets)
+            else:
+                fits = [fit_family(family, X[tr], y[tr], aux[tr], sets[0],
+                                   seed)] * len(sets)
+            for i, model in zip(members, fits):
+                aps[i].append(average_precision(
+                    y[va], predict_scores(model, X[va], aux[va])))
+    return [float(np.mean(s)) if s else -1.0 for s in aps]
 
 
 def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
@@ -234,17 +242,9 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
                 splits.append({"kind": "inner", "fold": k, "inner_fold": j,
                                "train_groups": fit_groups,
                                "test_groups": val_groups})
-            best_score = -math.inf
-            best = candidates[0]
-            for cand in candidates:
-                merged = dict(params)
-                merged.update(cand)
-                score = _candidate_score(family, X, y, aux, merged, seed,
-                                         inner_splits)
-                if score > best_score:
-                    best_score = score
-                    best = cand
-            params.update(best)
+            merged = [{**params, **c} for c in candidates]
+            scores = _search_scores(family, X, y, aux, merged, seed, inner_splits)
+            params.update(candidates[scores.index(max(scores))])  # first best
 
         model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
         s = predict_scores(model, X[te], aux[te])
@@ -353,19 +353,24 @@ def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_oof_row(fields: list[str]) -> None:
-    """An out-of-fold row's score must be a finite number, its label 0 or 1."""
-    _finite(fields[3])
-    if fields[5] not in ("0", "1"):
-        raise ValueError("label must be 0 or 1")
-
-
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:
     """The binary predictions of an out-of-fold CSV in dataset row order;
-    every dataset row needs one."""
+    its rows must be exactly the dataset's, each with the dataset's label."""
+    keys = list(zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist()))
+    labels = dict(zip(keys, ds.labels.tolist()))
+
+    def check(fields: list[str]) -> None:
+        _finite(fields[3])
+        if fields[5] not in ("0", "1"):
+            raise ValueError("label must be 0 or 1")
+        key = (fields[0], int(fields[1]), int(fields[2]))
+        if key not in labels:
+            raise ValueError(f"key {','.join(fields[:3])} not in the dataset")
+        if int(fields[5]) != labels[key]:
+            raise ValueError(f"label {fields[5]} disagrees with the dataset")
+
     table = parse_pixel_flags(text, OOF_HEADER, "out-of-fold", "pred",
-                              check=_check_oof_row)
-    keys = zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist())
+                              check=check)
     try:
         return np.array([table[key] for key in keys], dtype=int)
     except KeyError as exc:

@@ -138,21 +138,25 @@ def standardize_fit(X: np.ndarray, n_continuous: int = N_CONTINUOUS,
     return mean, std
 
 
+def _gradient(p: np.ndarray, w: np.ndarray, Xs: np.ndarray, y: np.ndarray,
+              sample_weight: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+    """The loss gradient at p = expit(Xs @ w + b); p becomes the residual."""
+    np.multiply(sample_weight, np.subtract(p, y, out=p), out=p)
+    np.divide(p, len(y), out=p)
+    return Xs.T @ p + 2.0 * l2 * w, float(p.sum())
+
+
 def logistic_loss_grad(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
                        sample_weight: np.ndarray, l2: float,
                        ) -> tuple[float, np.ndarray, float]:
     """Mean weighted cross-entropy plus l2*||w||^2, with its gradient."""
-    n = len(y)
     with np.errstate(invalid="ignore", over="ignore"):
-        z = Xs @ w + b
-        p = expit(z)
+        p = expit(Xs @ w + b)
         eps = 1e-12
         ce = -(y * np.log(np.clip(p, eps, 1.0))
                + (1 - y) * np.log(np.clip(1.0 - p, eps, 1.0)))
         loss = float(np.mean(sample_weight * ce) + l2 * np.dot(w, w))
-        resid = sample_weight * (p - y) / n
-        grad_w = Xs.T @ resid + 2.0 * l2 * w
-        grad_b = float(resid.sum())
+        grad_w, grad_b = _gradient(p, w, Xs, y, sample_weight, l2)
     return loss, grad_w, grad_b
 
 
@@ -163,9 +167,20 @@ def class_weight_pair(y: np.ndarray) -> tuple[float, float]:
     return n / (2.0 * n_neg), n / (2.0 * n_pos)
 
 
-def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-                        max_iter: int = 1000, lr: float = 0.5,
-                        n_continuous: int = N_CONTINUOUS) -> LogisticModel:
+def fit_logistic_path(X: np.ndarray, y: np.ndarray, param_sets: list[dict],
+                      n_continuous: int = N_CONTINUOUS) -> list[LogisticModel]:
+    """fit_family("logistic", ...) for parameter sets that differ only in
+    max_iter, from one descent run to the largest; a descent that converges
+    early gives its last model to every later max_iter."""
+    ps = [{**DEFAULT_LOGISTIC_PARAMS, **p} for p in param_sets]
+    l2, lr, stops = ps[0]["l2"], ps[0]["lr"], [p["max_iter"] for p in ps]
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"logistic lr must be finite and > 0, got {lr!r}")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"logistic l2 must be finite and >= 0, got {l2!r}")
+    for m in stops:
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"logistic max_iter must be an int >= 1, got {m!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_classes(y)
@@ -175,16 +190,32 @@ def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     Xs = (X - mean) / std
     w = np.zeros(X.shape[1])
     b = 0.0
-    for _ in range(max_iter):
-        loss, gw, gb = logistic_loss_grad(w, b, Xs, y, sw, l2)
-        if not math.isfinite(loss):
-            raise ValueError("divergence (try a smaller lr)")
-        if max(float(np.max(np.abs(gw))), abs(gb)) < 1e-6:
-            break
-        w = w - lr * gw
-        b = b - lr * gb
-    return LogisticModel(weights=w, bias=b, class_weights=(w_neg, w_pos),
-                         feature_mean=mean, feature_std=std)
+    p = np.empty(len(y))  # one buffer: z, then expit(z), then the residual
+    held = {}  # max_iter -> (weights, bias) after that many steps
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, max(stops) + 1):
+            expit(np.add(np.matmul(Xs, w, out=p), b, out=p), out=p)
+            gw, gb = _gradient(p, w, Xs, y, sw, l2)
+            # The clipped cross-entropy is bounded, so the loss is non-finite
+            # exactly when p holds a NaN (then so does gb) or l2*w.w is.
+            if math.isnan(gb) or not math.isfinite(l2 * np.dot(w, w)):
+                raise ValueError("divergence (try a smaller lr)")
+            if max(float(np.max(np.abs(gw))), abs(gb)) < 1e-6:
+                break
+            gw *= lr
+            w -= gw
+            b = b - lr * gb
+            if k in stops:
+                held[k] = w.copy(), b
+    return [LogisticModel(*held.get(m, (w, b)), class_weights=(w_neg, w_pos),
+                          feature_mean=mean, feature_std=std) for m in stops]
+
+
+def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
+                        max_iter: int = 1000, lr: float = 0.5,
+                        n_continuous: int = N_CONTINUOUS) -> LogisticModel:
+    return fit_logistic_path(X, y, [{"l2": l2, "max_iter": max_iter, "lr": lr}],
+                             n_continuous)[0]
 
 
 # --- gradient-boosted trees -------------------------------------------------
@@ -414,11 +445,10 @@ def _model_from_obj(obj: dict):
     if kind == "logistic":
         if len(obj["class_weights"]) != 2:
             raise ValueError("model JSON class_weights must have 2 entries")
-        return LogisticModel(weights=np.array(obj["weights"], dtype=float),
-                             bias=float(obj["bias"]),
+        return LogisticModel(weights=obj["weights"], bias=float(obj["bias"]),
                              class_weights=tuple(obj["class_weights"]),
-                             feature_mean=np.array(obj["feature_mean"], dtype=float),
-                             feature_std=np.array(obj["feature_std"], dtype=float))
+                             feature_mean=obj["feature_mean"],
+                             feature_std=obj["feature_std"])
     if kind == "gbt":
         for k, tree in enumerate(obj["trees"]):
             try:
@@ -480,12 +510,7 @@ def fit_family(family: str, X: np.ndarray, y: np.ndarray,
         return ThresholdModel(feature=feature,
                               threshold=fit_threshold_values(values, y))
     if family == "logistic":
-        p = dict(DEFAULT_LOGISTIC_PARAMS)
-        if params:
-            p.update(params)
-        return fit_logistic_arrays(X, y, l2=float(p["l2"]),
-                                   max_iter=int(p["max_iter"]),
-                                   lr=float(p["lr"]))
+        return fit_logistic_path(X, y, [params or {}])[0]
     if family == "gbt":
         return fit_gbt_arrays(X, y, params, seed)
     raise ValueError(f"unknown model family: {family}")

@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from shipplume.cli import main, parse_config_file
-from shipplume.dataset import dataset_header
+from shipplume.dataset import dataset_header, dataset_to_csv
 from shipplume.fileio import write_atomic
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
+
+from conftest import columns_dataset
 
 
 def run(argv):
@@ -159,8 +162,13 @@ class TestBadInputs:
          "line 2: label must be 0 or 1"),
         (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,x"],
          "line 3: label must be 0 or 1"),
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,1",
+          "999_2020-01-01,3,3,0.1,0,0"],
+         "line 4: key 999_2020-01-01,3,3 not in the dataset"),
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,0"],
+         "line 3: label 0 disagrees with the dataset"),
     ], ids=["pred_2", "repeated_key", "field_count", "score_abc", "score_nan",
-            "label_7", "label_x"])
+            "label_7", "label_x", "foreign_key", "label_disagrees"])
     def test_bad_out_of_fold_rows_exit_1(self, tmp_path, capsys, rows,
                                          message):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -228,6 +236,38 @@ class TestBadInputs:
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: " + message]
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--logistic-lr", "-0.5"],
+         "logistic lr must be finite and > 0, got -0.5"),
+        (["--logistic-lr", "nan"], "logistic lr must be finite and > 0, got nan"),
+        # the search replaces l2 and max_iter, so evaluate sees them only
+        # without one
+        (["--logistic-l2", "-1", "--n-candidates", "1"],
+         "logistic l2 must be finite and >= 0, got -1.0"),
+        (["--logistic-max-iter", "-5", "--n-candidates", "1"],
+         "logistic max_iter must be an int >= 1, got -5"),
+    ], ids=["lr_negative", "lr_nan", "l2_negative", "max_iter_negative"])
+    def test_bad_logistic_parameters_exit_1(self, tmp_path, capsys, command,
+                                            flags, message):
+        dataset = tmp_path / "dataset.csv"
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.1, 1.0, size=(48, 17))
+        labels = (X[:, 0] > 0.5).astype(int)
+        labels[::6] = 1
+        dataset.write_text(dataset_to_csv(columns_dataset(
+            [f"{300 + i // 6}_2019-04-01" for i in range(48)], X, X[:, 1],
+            labels)))
+        out = tmp_path / "out"
+        assert run([command, "--dataset-file", dataset, "--model", "logistic",
+                    "--outer-folds", "2", "--inner-folds", "2",
+                    "--n-candidates", "3", *flags, "--model-file", out,
+                    "--report-file", out, "--pr-file", tmp_path / "pr.csv",
+                    "--oof-file", tmp_path / "oof.csv"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: " + message]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("lat_min", "nan"), ("lon_min", "-inf"), ("cell_size", "inf"),
