@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, parse_pixel_flags
 from .grid import _finite, fmt_float
-from .models import (DEFAULT_SPACES, FAMILY_NAMES, fit_family,
+from .models import (DEFAULT_SPACES, FAMILY_NAMES, check_params, fit_family,
                      fit_logistic_path, predict_labels, predict_scores,
                      sample_params)
 
@@ -204,6 +204,7 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
                          f"{n_outer} and {n_inner}")
     if n_candidates < 1:
         raise ValueError(f"candidate count must be >= 1, got {n_candidates}")
+    check_params(family, base_params)  # also the values the search replaces
     space = DEFAULT_SPACES.get(family, {})
     X = ds.X
     y = ds.require_labels()

@@ -76,6 +76,32 @@ DEFAULT_GBT_PARAMS = {
 
 DEFAULT_LOGISTIC_PARAMS = {"l2": 1e-3, "max_iter": 1000, "lr": 0.5}
 
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_COUNT = ("an int >= 1", lambda v: isinstance(v, (int, np.integer)) and v >= 1)
+_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
+# family -> (defaults, the rule of each parameter, in checking order)
+_PARAM_RULES = {
+    "logistic": (DEFAULT_LOGISTIC_PARAMS,
+                 {"lr": _POSITIVE, "l2": _NON_NEGATIVE, "max_iter": _COUNT}),
+    "gbt": (DEFAULT_GBT_PARAMS,
+            {"n_trees": _COUNT, "max_depth": _COUNT, "learning_rate": _POSITIVE,
+             "min_child_weight": _NON_NEGATIVE, "gamma": _NON_NEGATIVE,
+             "reg_alpha": _NON_NEGATIVE, "subsample": _FRACTION,
+             "colsample": _FRACTION}),
+}
+
+
+def check_params(family: str, params: dict | None) -> dict:
+    """The family's defaults updated by params, each checked against its
+    rule; the threshold families take no parameters."""
+    defaults, rules = _PARAM_RULES.get(family, ({}, {}))
+    p = {**defaults, **(params or {})}
+    for name, (rule, holds) in rules.items():
+        if not holds(p[name]):
+            raise ValueError(f"{family} {name} must be {rule}, got {p[name]!r}")
+    return p
+
 
 def _threshold_values(feature: str, X: np.ndarray,
                       moran_high: np.ndarray | None) -> np.ndarray:
@@ -172,15 +198,8 @@ def fit_logistic_path(X: np.ndarray, y: np.ndarray, param_sets: list[dict],
     """fit_family("logistic", ...) for parameter sets that differ only in
     max_iter, from one descent run to the largest; a descent that converges
     early gives its last model to every later max_iter."""
-    ps = [{**DEFAULT_LOGISTIC_PARAMS, **p} for p in param_sets]
+    ps = [check_params("logistic", p) for p in param_sets]
     l2, lr, stops = ps[0]["l2"], ps[0]["lr"], [p["max_iter"] for p in ps]
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError(f"logistic lr must be finite and > 0, got {lr!r}")
-    if not (math.isfinite(l2) and l2 >= 0):
-        raise ValueError(f"logistic l2 must be finite and >= 0, got {l2!r}")
-    for m in stops:
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"logistic max_iter must be an int >= 1, got {m!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_classes(y)
@@ -245,48 +264,49 @@ def _grow_tree(X: np.ndarray, bins: list, g: np.ndarray, h: np.ndarray,
                idx: np.ndarray, feats: np.ndarray, max_depth: int,
                min_child_weight: float, gamma: float, alpha: float, lr: float,
                depth: int = 0) -> dict:
-    """Exact greedy split search: a feature's cuts are the midpoints between
-    its consecutive distinct values in the node, scored from prefix sums of
-    g/h in value order, which a stable sort of the ranks in ``bins[f]`` (from
-    value_ranks) gives."""
-    G = float(g[idx].sum())
-    H = float(h[idx].sum())
-    if depth >= max_depth or idx.size < 2:
-        return {"leaf": leaf_value(G, H, alpha) * lr}
-    parent_score = float(_leaf_score(G, H, alpha))
+    """Exact greedy split search: every cut (a midpoint of consecutive distinct
+    values) of every feature is scored in one gain vector, from left sums of
+    g/h: prefix sums in rank order, or for two values a bincount (same order)."""
     g_node, h_node = g[idx], h[idx]
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    for f in feats:
-        uniq, rank = bins[f]
-        r = rank[idx]
-        order = np.argsort(r, kind="stable")
-        rs = r[order]
-        cut = np.flatnonzero(rs[1:] != rs[:-1])
-        if cut.size == 0:
-            continue
-        GL = np.cumsum(g_node[order])[cut]
-        HL = np.cumsum(h_node[order])[cut]
-        GR = G - GL
-        HR = H - HL
-        ok = (HL >= min_child_weight) & (HR >= min_child_weight)
-        gains = 0.5 * (_leaf_score(GL, HL, alpha) + _leaf_score(GR, HR, alpha)
-                       - parent_score) - gamma
-        gains = np.where(ok, gains, -np.inf)
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (int(f),
-                    float((uniq[rs[cut[j]]] + uniq[rs[cut[j] + 1]]) / 2.0))
-    if best is None:
-        return {"leaf": leaf_value(G, H, alpha) * lr}
-    f, thr = best
+    G, H = float(g_node.sum()), float(h_node.sum())
+    leaf = {"leaf": leaf_value(G, H, alpha) * lr}
+    if depth >= max_depth or idx.size < 2:
+        return leaf
+    cuts = []  # per feature with a cut: (f, rank left of each cut, GL, HL)
+    for f in feats.tolist():
+        r = bins[f][1][idx]
+        if bins[f][0].size > 2:
+            order = np.argsort(r, kind="stable")
+            rs = r[order]
+            cut = np.flatnonzero(rs[1:] != rs[:-1])
+            if cut.size:
+                cuts.append((f, rs[cut], np.cumsum(g_node[order])[cut],
+                             np.cumsum(h_node[order])[cut]))
+        elif 0 < np.count_nonzero(r) < r.size:  # both values are in the node
+            cuts.append((f, (0,), np.bincount(r, g_node)[:1],
+                         np.bincount(r, h_node)[:1]))
+    if not cuts:
+        return leaf
+    GL, HL = (np.concatenate([c[k] for c in cuts]) for k in (2, 3))
+    HR = H - HL
+    gains = 0.5 * (_leaf_score(GL, HL, alpha) + _leaf_score(G - GL, HR, alpha)
+                   - float(_leaf_score(G, H, alpha))) - gamma
+    gains[~((HL >= min_child_weight) & (HR >= min_child_weight))] = -np.inf
+    # finite g, h and H + 1 > 0: no gain is NaN, so argmax is the first max
+    j = int(np.argmax(gains))
+    if not gains[j] > 0.0:
+        return leaf
+    while j >= len(cuts[0][1]):  # j back to its feature and cut
+        j -= len(cuts.pop(0)[1])
+    f, low = cuts[0][:2]
+    del cuts, GL, HL, HR, gains  # so the children's frames do not hold them
+    uniq, r = bins[f][0], bins[f][1][idx]
+    thr = float((uniq[low[j]] + uniq[r[r > low[j]].min()]) / 2.0)
     mask = X[idx, f] < thr
-    return {"feature": f, "threshold": thr,
-            "left": _grow_tree(X, bins, g, h, idx[mask], feats, max_depth,
-                               min_child_weight, gamma, alpha, lr, depth + 1),
-            "right": _grow_tree(X, bins, g, h, idx[~mask], feats, max_depth,
-                                min_child_weight, gamma, alpha, lr, depth + 1)}
+    left, right = (_grow_tree(X, bins, g, h, rows, feats, max_depth,
+                              min_child_weight, gamma, alpha, lr, depth + 1)
+                   for rows in (idx[mask], idx[~mask]))
+    return {"feature": f, "threshold": thr, "left": left, "right": right}
 
 
 def eval_tree(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -305,12 +325,10 @@ def eval_tree(tree: dict, X: np.ndarray) -> np.ndarray:
 
 def fit_gbt_arrays(X: np.ndarray, y: np.ndarray, params: dict | None = None,
                    seed: int = 0) -> GBTModel:
+    p = check_params("gbt", params)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_classes(y)
-    p = dict(DEFAULT_GBT_PARAMS)
-    if params:
-        p.update(params)
     n, d = X.shape
     rng = np.random.default_rng(seed)
     bins = value_ranks(X)

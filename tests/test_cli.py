@@ -28,6 +28,25 @@ def revisit_dataset(path):
     return path
 
 
+def run_on_8_groups(tmp_path, command, model, flags):
+    """command on a 48-row dataset of 8 groups, with 2 outer and 2 inner
+    folds and 3 candidates before flags; every output goes to tmp_path."""
+    dataset = tmp_path / "dataset.csv"
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.1, 1.0, size=(48, 17))
+    labels = (X[:, 0] > 0.5).astype(int)
+    labels[::6] = 1
+    dataset.write_text(dataset_to_csv(columns_dataset(
+        [f"{300 + i // 6}_2019-04-01" for i in range(48)], X, X[:, 1],
+        labels)))
+    out = tmp_path / "out"
+    return run([command, "--dataset-file", dataset, "--model", model,
+                "--outer-folds", "2", "--inner-folds", "2",
+                "--n-candidates", "3", *flags, "--model-file", out,
+                "--report-file", out, "--pr-file", tmp_path / "pr.csv",
+                "--oof-file", tmp_path / "oof.csv"])
+
+
 def gbt_json(*trees):
     """A GBT model file for 17 features with the given trees."""
     return json.dumps({"type": "gbt", "trees": list(trees),
@@ -242,8 +261,8 @@ class TestBadInputs:
         (["--logistic-lr", "-0.5"],
          "logistic lr must be finite and > 0, got -0.5"),
         (["--logistic-lr", "nan"], "logistic lr must be finite and > 0, got nan"),
-        # the search replaces l2 and max_iter, so evaluate sees them only
-        # without one
+        # without a search; test_bad_gbt_or_searched_parameters_exit_1 has
+        # the values the search replaces
         (["--logistic-l2", "-1", "--n-candidates", "1"],
          "logistic l2 must be finite and >= 0, got -1.0"),
         (["--logistic-max-iter", "-5", "--n-candidates", "1"],
@@ -251,23 +270,46 @@ class TestBadInputs:
     ], ids=["lr_negative", "lr_nan", "l2_negative", "max_iter_negative"])
     def test_bad_logistic_parameters_exit_1(self, tmp_path, capsys, command,
                                             flags, message):
-        dataset = tmp_path / "dataset.csv"
-        rng = np.random.default_rng(0)
-        X = rng.uniform(0.1, 1.0, size=(48, 17))
-        labels = (X[:, 0] > 0.5).astype(int)
-        labels[::6] = 1
-        dataset.write_text(dataset_to_csv(columns_dataset(
-            [f"{300 + i // 6}_2019-04-01" for i in range(48)], X, X[:, 1],
-            labels)))
-        out = tmp_path / "out"
-        assert run([command, "--dataset-file", dataset, "--model", "logistic",
-                    "--outer-folds", "2", "--inner-folds", "2",
-                    "--n-candidates", "3", *flags, "--model-file", out,
-                    "--report-file", out, "--pr-file", tmp_path / "pr.csv",
-                    "--oof-file", tmp_path / "oof.csv"]) == 1
+        assert run_on_8_groups(tmp_path, command, "logistic", flags) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: " + message]
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--gbt-learning-rate", "nan"],
+         "gbt learning_rate must be finite and > 0, got nan"),
+        (["--gbt-learning-rate", "0"],
+         "gbt learning_rate must be finite and > 0, got 0.0"),
+        (["--gbt-n-trees", "-3"], "gbt n_trees must be an int >= 1, got -3"),
+        (["--gbt-max-depth", "-2"], "gbt max_depth must be an int >= 1, got -2"),
+        (["--gbt-max-depth", "0"], "gbt max_depth must be an int >= 1, got 0"),
+        (["--gbt-subsample", "0"], "gbt subsample must be in (0, 1], got 0.0"),
+        (["--gbt-subsample", "1.5"],
+         "gbt subsample must be in (0, 1], got 1.5"),
+        (["--gbt-colsample", "-1"],
+         "gbt colsample must be in (0, 1], got -1.0"),
+        (["--gbt-reg-alpha", "-1"],
+         "gbt reg_alpha must be finite and >= 0, got -1.0"),
+        (["--gbt-min-child-weight", "nan"],
+         "gbt min_child_weight must be finite and >= 0, got nan"),
+        (["--gbt-gamma", "inf"], "gbt gamma must be finite and >= 0, got inf"),
+        (["--model", "logistic", "--logistic-l2", "-1"],
+         "logistic l2 must be finite and >= 0, got -1.0"),
+        (["--model", "logistic", "--logistic-max-iter", "-5"],
+         "logistic max_iter must be an int >= 1, got -5"),
+    ], ids=["lr_nan", "lr_zero", "n_trees_negative", "max_depth_negative",
+            "max_depth_zero", "subsample_zero", "subsample_above_1",
+            "colsample_negative", "reg_alpha_negative", "mcw_nan", "gamma_inf",
+            "logistic_l2_negative", "logistic_max_iter_negative"])
+    def test_bad_gbt_or_searched_parameters_exit_1(self, tmp_path, capsys,
+                                                   command, flags, message):
+        # evaluate runs a 3-candidate search, which replaces every value
+        # here but n_trees and lr; the base values are checked before it
+        assert run_on_8_groups(tmp_path, command, "gbt", flags) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: " + message]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
 
     @pytest.mark.parametrize("key, value", [
         ("lat_min", "nan"), ("lon_min", "-inf"), ("cell_size", "inf"),

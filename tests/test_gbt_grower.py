@@ -3,6 +3,8 @@ reference grower in ``gbt_oracle``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbt_oracle as oracle
 from shipplume import models
@@ -113,6 +115,64 @@ def test_more_distinct_values_than_16_bit_ranks(rng):
     tree, reference = grow(X, p - y, p * (1 - p), np.arange(n), np.array([0]),
                            2, 1.0, 0.0, 0.0)
     assert "feature" in tree
+    assert tree == reference
+
+
+TWO_VALUES = [(0.0, 1.0), (-3.5, 2.0), (1e-3, 7.25)]
+COLUMN_KINDS = ["two", "many", "constant", "copy", "coarsen", "refine"]
+
+
+@st.composite
+def grower_cases(draw):
+    """A node's data and grower parameters. Besides random two-valued,
+    many-valued and constant columns, a column may copy an earlier one, or
+    coarsen an earlier column to two values at one of its cuts, or refine an
+    earlier two-valued column into more values. Those give exactly equal
+    best gains on a two-valued and a many-valued feature, in either order,
+    and two-valued columns that are constant inside a child node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    cols: list[np.ndarray] = []
+    for kind in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1,
+                              max_size=8)):
+        lo, hi = TWO_VALUES[draw(st.integers(0, len(TWO_VALUES) - 1))]
+        if kind == "two" or not cols:
+            col = np.where(rng.random(n) < rng.uniform(0.1, 0.9), lo, hi)
+        elif kind == "many":
+            col = rng.integers(0, int(rng.integers(3, 7)), n) * 1.5 - 2.0
+        elif kind == "constant":
+            col = np.full(n, lo)
+        else:
+            prev = cols[int(rng.integers(len(cols)))]
+            values = np.unique(prev)
+            if kind == "copy":
+                col = prev.copy()
+            elif kind == "coarsen":
+                col = np.where(prev <= rng.choice(values), lo, hi)
+            else:  # refine: the lowest value stays one class
+                col = np.where(prev == values[0], 0.5,
+                               1.5 + rng.integers(0, 3, n))
+        cols.append(col.astype(float))
+    X = np.column_stack(cols)
+    p = (rng.choice([0.2, 0.5, 0.8], n) if draw(st.booleans())
+         else rng.uniform(0.05, 0.95, n))
+    y = rng.integers(0, 2, n)
+    d = X.shape[1]
+    idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                             replace=False))
+    feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)),
+                               replace=False))
+    params = (draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.1, 1.0])),
+              draw(st.sampled_from([0.0, 0.02])),
+              draw(st.sampled_from([0.0, 0.05])))
+    return X, p - y, p * (1 - p), idx, feats, params
+
+
+@given(grower_cases())
+@settings(max_examples=150, deadline=2000, derandomize=True)
+def test_grower_equals_oracle_on_generated_nodes(case):
+    X, g, h, idx, feats, params = case
+    tree, reference = grow(X, g, h, idx, feats, *params)
     assert tree == reference
 
 

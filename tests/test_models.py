@@ -200,6 +200,24 @@ class TestGBT:
         assert tree["feature"] == 0
         assert tree["threshold"] == pytest.approx(7.5)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"n_trees": 2.5}, "gbt n_trees must be an int >= 1, got 2.5"),
+        ({"max_depth": 0}, "gbt max_depth must be an int >= 1, got 0"),
+        ({"learning_rate": -0.1},
+         "gbt learning_rate must be finite and > 0, got -0.1"),
+        ({"subsample": float("nan")}, "gbt subsample must be in (0, 1], got nan"),
+        ({"colsample": 1.0 + 1e-9},
+         "gbt colsample must be in (0, 1], got 1.000000001"),
+        ({"reg_alpha": float("inf")},
+         "gbt reg_alpha must be finite and >= 0, got inf"),
+    ])
+    def test_bad_parameters_rejected(self, rng, params, message):
+        X = rng.normal(size=(20, 2))
+        y = np.arange(20) % 2
+        with pytest.raises(ValueError) as exc:
+            fit_gbt_arrays(X, y, {"n_trees": 2, **params})
+        assert str(exc.value) == message
+
     def test_leaf_values_match_second_order_oracle(self, rng):
         n, d = 120, 5
         X = rng.normal(size=(n, d))
