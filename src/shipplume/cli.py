@@ -25,6 +25,8 @@ from .pipeline import (PipelineParams, build_dataset_from_scenes,
                        build_sectors, read_manifest, read_scene_dir)
 from .sector import sectors_to_geojson
 
+_GBT, _LOGISTIC = md.DEFAULT_GBT_PARAMS, md.DEFAULT_LOGISTIC_PARAMS
+
 # key -> (type, default, help)
 KEYS: dict[str, tuple[type, object, str]] = {
     "scenes-dir": (str, "scenes", "directory holding scene subdirectories and scenes.csv"),
@@ -73,17 +75,17 @@ KEYS: dict[str, tuple[type, object, str]] = {
     "cutoff": (float, 0.5, "probability cutoff for binary predictions"),
     "predictions": (str, "", "out-of-fold predictions CSV to score (proxy-report)"),
     "use-labels": (int, 0, "proxy-report: treat labels as predictions (1/0)"),
-    "gbt-n-trees": (int, 100, "boosted trees: number of trees"),
-    "gbt-max-depth": (int, 3, "boosted trees: maximum depth"),
-    "gbt-learning-rate": (float, 0.3, "boosted trees: shrinkage"),
-    "gbt-subsample": (float, 1.0, "boosted trees: row subsample fraction"),
-    "gbt-colsample": (float, 1.0, "boosted trees: feature subsample fraction"),
-    "gbt-min-child-weight": (float, 1.0, "boosted trees: minimum child hessian"),
-    "gbt-gamma": (float, 0.0, "boosted trees: minimum split gain"),
-    "gbt-reg-alpha": (float, 0.0, "boosted trees: L1 leaf regularization"),
-    "logistic-l2": (float, 1e-3, "logistic: L2 penalty"),
-    "logistic-max-iter": (int, 1000, "logistic: maximum iterations"),
-    "logistic-lr": (float, 0.5, "logistic: gradient descent step"),
+    "gbt-n-trees": (int, _GBT["n_trees"], "boosted trees: number of trees"),
+    "gbt-max-depth": (int, _GBT["max_depth"], "boosted trees: maximum depth"),
+    "gbt-learning-rate": (float, _GBT["learning_rate"], "boosted trees: shrinkage"),
+    "gbt-subsample": (float, _GBT["subsample"], "boosted trees: row subsample fraction"),
+    "gbt-colsample": (float, _GBT["colsample"], "boosted trees: feature subsample fraction"),
+    "gbt-min-child-weight": (float, _GBT["min_child_weight"], "boosted trees: minimum child hessian"),
+    "gbt-gamma": (float, _GBT["gamma"], "boosted trees: minimum split gain"),
+    "gbt-reg-alpha": (float, _GBT["reg_alpha"], "boosted trees: L1 leaf regularization"),
+    "logistic-l2": (float, _LOGISTIC["l2"], "logistic: L2 penalty"),
+    "logistic-max-iter": (int, _LOGISTIC["max_iter"], "logistic: maximum iterations"),
+    "logistic-lr": (float, _LOGISTIC["lr"], "logistic: gradient descent step"),
 }
 
 COMMANDS = ("synth", "ingest", "sectors", "enhance", "features", "train",
@@ -100,18 +102,19 @@ class _Parser(argparse.ArgumentParser):
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value lines; '#' comments; unknown keys are fatal."""
     out: dict[str, object] = {}
-    for raw in Path(path).read_text().splitlines():
+    for k, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in KEYS:
             raise ValueError(f"unknown config key: {key}")
-        caster = KEYS[key][0]
-        out[key] = caster(value.strip())
+        try:
+            out[key] = KEYS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"config line {k}: {key}: {exc}") from None
     return out
 
 
@@ -190,8 +193,8 @@ def cmd_ingest(cfg: dict) -> None:
 
 
 def cmd_sectors(cfg: dict) -> None:
-    refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
     params = pipeline_params(cfg)
+    refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
     sectors = []
     for ref in refs:
         _, records, wind, _, _ = read_scene_dir(ref.path)

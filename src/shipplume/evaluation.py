@@ -8,7 +8,7 @@ fold, in both the outer evaluation loop and the inner selection loop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -303,24 +303,12 @@ def proxy_correlation(table: ShipTable) -> float:
 # --- report output -----------------------------------------------------------
 
 def report_to_json(report: CVReport) -> str:
-    obj = {
-        "family": report.family,
-        "n_outer": report.n_outer,
-        "n_inner": report.n_inner,
-        "n_candidates": report.n_candidates,
-        "seed": report.seed,
-        "folds": [{
-            "fold": f.fold,
-            "params": f.params,
-            "precision": f.metrics.precision,
-            "recall": f.metrics.recall,
-            "f1": f.metrics.f1,
-            "ap": f.metrics.ap,
-            "support": list(f.metrics.support),
-        } for f in report.folds],
-        "summary": {name: {"mean": ms[0], "std": ms[1]}
-                    for name, ms in report.summary.items()},
-    }
+    obj = {k: getattr(report, k)
+           for k in ("family", "n_outer", "n_inner", "n_candidates", "seed")}
+    obj["folds"] = [{"fold": f.fold, "params": f.params, **asdict(f.metrics)}
+                    for f in report.folds]
+    obj["summary"] = {name: {"mean": mean, "std": std}
+                      for name, (mean, std) in report.summary.items()}
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

@@ -55,10 +55,6 @@ class GridSpec:
     def lon_centers(self) -> np.ndarray:
         return self.lon_min + (np.arange(self.n_cols) + 0.5) * self.cell_size
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return (self.lat_min + (row + 0.5) * self.cell_size,
-                self.lon_min + (col + 0.5) * self.cell_size)
-
     def contains(self, lat: float, lon: float) -> bool:
         return (self.lat_min <= lat <= self.lat_max
                 and self.lon_min <= lon <= self.lon_max)
@@ -148,6 +144,27 @@ def _finite(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {token!r}")
     return value
+
+
+def _finite_number(v) -> bool:
+    """v is a finite int or float (numpy scalars too), and not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and math.isfinite(v))
+
+
+# (rule, test) pairs for parameter values
+_POSITIVE = ("finite and > 0", lambda v: _finite_number(v) and v > 0)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: _finite_number(v) and v >= 0)
+_COUNT = ("an int >= 1", lambda v: isinstance(v, (int, np.integer))
+          and not isinstance(v, bool) and v >= 1)
+
+
+def _check_rules(kind: str, values: dict, rules: dict) -> None:
+    """Reject the first value, in rule order, that breaks its rule."""
+    for name, (rule, holds) in rules.items():
+        if not holds(values[name]):
+            raise ValueError(f"{kind} {name} must be {rule}, "
+                             f"got {values[name]!r}")
 
 
 def _parse_rows(text: str, header: str, kind: str, convert) -> list:

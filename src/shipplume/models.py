@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .dataset import FEATURE_BASE
+from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, _check_rules,
+                   _finite_number)
 
 # threshold-baseline model family -> the single feature it thresholds
 THRESHOLD_FEATURES = {"no2": "no2", "moran": "moran",
@@ -45,8 +47,20 @@ class LogisticModel:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
-        self.feature_mean = np.asarray(self.feature_mean, dtype=float)
-        self.feature_std = np.asarray(self.feature_std, dtype=float)
+        for name in ("weights", "feature_mean", "feature_std"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if (a.ndim != 1 or a.shape != self.weights.shape
+                    or not np.isfinite(a).all()):
+                raise ValueError(f"{name} must be finite, 1-D and as long as weights")
+            setattr(self, name, a)
+        if not (self.feature_std > 0).all():
+            raise ValueError("feature_std must be > 0")
+        self.class_weights = tuple(self.class_weights)
+        if len(self.class_weights) != 2:
+            raise ValueError("class_weights must have 2 entries")
+        for name, value in zip(("bias", "w_neg", "w_pos"),
+                               (self.bias, *self.class_weights)):
+            _check_finite(value, name)
 
 
 @dataclass
@@ -62,6 +76,13 @@ class GBTModel:
     reg_alpha: float
     n_features: int
 
+    def __post_init__(self) -> None:
+        p = check_params("gbt", {k: getattr(self, k) for k in DEFAULT_GBT_PARAMS})
+        for name, value in p.items():  # the type of each default
+            setattr(self, name, type(DEFAULT_GBT_PARAMS[name])(value))
+        _check_rules("gbt", vars(self), {"n_features": _COUNT})
+        _check_trees(self.trees, self.n_features)
+
 
 DEFAULT_GBT_PARAMS = {
     "n_trees": 100,
@@ -76,10 +97,7 @@ DEFAULT_GBT_PARAMS = {
 
 DEFAULT_LOGISTIC_PARAMS = {"l2": 1e-3, "max_iter": 1000, "lr": 0.5}
 
-_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
-_COUNT = ("an int >= 1", lambda v: isinstance(v, (int, np.integer)) and v >= 1)
-_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
+_FRACTION = ("in (0, 1]", lambda v: _finite_number(v) and 0 < v <= 1)
 # family -> (defaults, the rule of each parameter, in checking order)
 _PARAM_RULES = {
     "logistic": (DEFAULT_LOGISTIC_PARAMS,
@@ -97,9 +115,10 @@ def check_params(family: str, params: dict | None) -> dict:
     rule; the threshold families take no parameters."""
     defaults, rules = _PARAM_RULES.get(family, ({}, {}))
     p = {**defaults, **(params or {})}
-    for name, (rule, holds) in rules.items():
-        if not holds(p[name]):
-            raise ValueError(f"{family} {name} must be {rule}, got {p[name]!r}")
+    for name in p:
+        if name not in rules:
+            raise ValueError(f"{family} has no parameter {name}")
+    _check_rules(family, p, rules)
     return p
 
 
@@ -353,12 +372,7 @@ def fit_gbt_arrays(X: np.ndarray, y: np.ndarray, params: dict | None = None,
                           float(p["reg_alpha"]), float(p["learning_rate"]))
         trees.append(tree)
         logit += eval_tree(tree, X)
-    return GBTModel(trees=trees, learning_rate=float(p["learning_rate"]),
-                    max_depth=int(p["max_depth"]), n_trees=int(p["n_trees"]),
-                    min_child_weight=float(p["min_child_weight"]),
-                    subsample=float(p["subsample"]),
-                    colsample=float(p["colsample"]), gamma=float(p["gamma"]),
-                    reg_alpha=float(p["reg_alpha"]), n_features=d)
+    return GBTModel(trees=trees, n_features=d, **p)
 
 
 # --- prediction -------------------------------------------------------------
@@ -397,89 +411,65 @@ def predict_labels(model, scores: np.ndarray, cutoff: float = 0.5) -> np.ndarray
 
 # --- model files ------------------------------------------------------------
 
+# type tag -> model class; a model file is {"type": tag, **the class's fields}
+_MODEL_TYPES = {"threshold": ThresholdModel, "logistic": LogisticModel,
+                "gbt": GBTModel}
+
+
 def model_to_json(model) -> str:
-    if isinstance(model, ThresholdModel):
-        obj = {"type": "threshold", "feature": model.feature,
-               "threshold": model.threshold}
-    elif isinstance(model, LogisticModel):
-        obj = {"type": "logistic", "weights": list(model.weights),
-               "bias": model.bias, "class_weights": list(model.class_weights),
-               "feature_mean": list(model.feature_mean),
-               "feature_std": list(model.feature_std)}
-    elif isinstance(model, GBTModel):
-        obj = {"type": "gbt", "trees": model.trees,
-               "learning_rate": model.learning_rate,
-               "max_depth": model.max_depth, "n_trees": model.n_trees,
-               "min_child_weight": model.min_child_weight,
-               "subsample": model.subsample, "colsample": model.colsample,
-               "gamma": model.gamma, "reg_alpha": model.reg_alpha,
-               "n_features": model.n_features}
-    else:
+    tags = [t for t, cls in _MODEL_TYPES.items() if type(model) is cls]
+    if not tags:
         raise TypeError(f"unknown model type: {type(model).__name__}")
+    obj = {"type": tags[0]}
+    for f in fields(model):
+        v = getattr(model, f.name)
+        obj[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def parse_model_json(text: str):
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("model JSON must be an object")
+    kind = obj.get("type")
+    cls = _MODEL_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown model type tag: {kind!r}")
     try:
-        return _model_from_obj(json.loads(text))
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
     except KeyError as exc:
         raise ValueError(f"model JSON missing key: {exc.args[0]}") from None
     except TypeError as exc:
         raise ValueError(f"malformed model JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"model JSON {exc}") from None
 
 
 def _check_finite(value, name: str) -> None:
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value)):
+    if not _finite_number(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _check_tree(tree, n_features: int) -> None:
-    """Every node must be {"leaf": finite} or {"feature": int in
-    [0, n_features), "threshold": finite, "left": node, "right": node}."""
-    stack = [tree]
+def _check_trees(trees, n_features: int) -> None:
+    """In tree order, every node must be {"leaf": finite} or {"feature": int
+    in [0, n_features), "threshold": finite, "left": node, "right": node}."""
+    stack = list(enumerate(trees))[::-1]
     while stack:
-        node = stack.pop()
+        k, node = stack.pop()
         keys = sorted(node) if isinstance(node, dict) else None
         if keys == ["leaf"]:
-            _check_finite(node["leaf"], "leaf")
+            _check_finite(node["leaf"], f"tree {k}: leaf")
         elif keys == ["feature", "left", "right", "threshold"]:
             f = node["feature"]
             if type(f) is not int or not 0 <= f < n_features:
-                raise ValueError(f"feature {f!r} not in [0, {n_features})")
-            _check_finite(node["threshold"], "threshold")
-            stack += [node["left"], node["right"]]
+                raise ValueError(f"tree {k}: feature {f!r} not in "
+                                 f"[0, {n_features})")
+            _check_finite(node["threshold"], f"tree {k}: threshold")
+            stack += [(k, node["left"]), (k, node["right"])]
         else:
             shape = f"keys {keys}" if keys is not None else repr(node)
-            raise ValueError(f"node must be a leaf or a split, got {shape}")
-
-
-def _model_from_obj(obj: dict):
-    if not isinstance(obj, dict):
-        raise ValueError("model JSON must be an object")
-    kind = obj.get("type")
-    if kind == "threshold":
-        return ThresholdModel(feature=obj["feature"], threshold=obj["threshold"])
-    if kind == "logistic":
-        if len(obj["class_weights"]) != 2:
-            raise ValueError("model JSON class_weights must have 2 entries")
-        return LogisticModel(weights=obj["weights"], bias=float(obj["bias"]),
-                             class_weights=tuple(obj["class_weights"]),
-                             feature_mean=obj["feature_mean"],
-                             feature_std=obj["feature_std"])
-    if kind == "gbt":
-        for k, tree in enumerate(obj["trees"]):
-            try:
-                _check_tree(tree, obj["n_features"])
-            except ValueError as exc:
-                raise ValueError(f"model JSON tree {k}: {exc}") from None
-        return GBTModel(trees=obj["trees"], learning_rate=obj["learning_rate"],
-                        max_depth=obj["max_depth"], n_trees=obj["n_trees"],
-                        min_child_weight=obj["min_child_weight"],
-                        subsample=obj["subsample"], colsample=obj["colsample"],
-                        gamma=obj["gamma"], reg_alpha=obj["reg_alpha"],
-                        n_features=obj["n_features"])
-    raise ValueError(f"unknown model type tag: {kind!r}")
+            raise ValueError(f"tree {k}: node must be a leaf or a split, "
+                             f"got {shape}")
 
 
 # --- model families for cross-validation ------------------------------------

@@ -14,7 +14,8 @@ from pathlib import Path
 from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
                       select_ships)
 from .enhance import moran_enhance, moran_on_high
-from .grid import GridImage, _finite, _parse_rows, crop, parse_grid_csv
+from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, GridImage, _check_rules,
+                   _finite, _finite_number, _parse_rows, crop, parse_grid_csv)
 from .sector import ShipSector, build_sector, normalize, pixels_in_sector
 from .tracks import (AISRecord, ShipInfo, Track, WindSample, WindVector,
                      extreme_tracks, interpolate_track, lookup_wind,
@@ -33,6 +34,16 @@ class PipelineParams:
     n_subsectors: int = 5
     min_speed_kt: float = 14.0
     dedup_radius_deg: float = 0.4
+
+    def __post_init__(self) -> None:
+        window = ("finite and >= step_s",
+                  lambda v: _finite_number(v) and v >= self.step_s)
+        angle = ("in (0, 180)", lambda v: _finite_number(v) and 0 < v < 180)
+        _check_rules("pipeline", vars(self), {
+            "half_extent": _POSITIVE, "step_s": _POSITIVE, "window_s": window,
+            "dspeed": _NON_NEGATIVE, "dangle": angle, "n_levels": _COUNT,
+            "n_subsectors": _COUNT, "min_speed_kt": _NON_NEGATIVE,
+            "dedup_radius_deg": _NON_NEGATIVE})
 
 
 def group_id_for(mmsi: int, t_overpass: float) -> str:

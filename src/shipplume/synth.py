@@ -223,16 +223,6 @@ def generate_scene(config: SceneConfig) -> Scene:
                  wind=wind, t_overpass=config.t_overpass, headings=headings)
 
 
-def expected_deposit_fraction(config: SceneConfig) -> float:
-    """Decay-weighted fraction of emission_scale * E_s that the puff train
-    deposits (exact, before any loss at the grid border)."""
-    n_steps = int(math.floor(config.window_s / config.step_s + 1e-9))
-    ln2 = math.log(2.0)
-    return sum((config.step_s / config.window_s)
-               * math.exp(-ln2 * (k * config.step_s) / config.decay_halflife_s)
-               for k in range(n_steps + 1))
-
-
 # --- serialization into the pipeline's external formats -----------------------
 
 def scene_samples(scene: Scene) -> np.ndarray:

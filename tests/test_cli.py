@@ -47,13 +47,23 @@ def run_on_8_groups(tmp_path, command, model, flags):
                 "--oof-file", tmp_path / "oof.csv"])
 
 
-def gbt_json(*trees):
-    """A GBT model file for 17 features with the given trees."""
+def gbt_json(*trees, **fields):
+    """A GBT model file for 17 features with the given trees; fields
+    replace the defaults."""
     return json.dumps({"type": "gbt", "trees": list(trees),
                        "learning_rate": 0.3, "max_depth": 3,
                        "n_trees": len(trees), "min_child_weight": 1.0,
                        "subsample": 1.0, "colsample": 1.0, "gamma": 0.0,
-                       "reg_alpha": 0.0, "n_features": 17})
+                       "reg_alpha": 0.0, "n_features": 17, **fields})
+
+
+def logistic_json(**fields):
+    """A zero-weight logistic model file for 17 features; fields replace
+    the defaults."""
+    return json.dumps({"type": "logistic", "weights": [0.0] * 17,
+                       "bias": 0.0, "class_weights": [1.0, 1.0],
+                       "feature_mean": [0.0] * 17, "feature_std": [1.0] * 17,
+                       **fields})
 
 
 class TestConfig:
@@ -74,6 +84,16 @@ class TestConfig:
 
     def test_bad_flag_value_exits_1(self):
         assert run(["synth", "--n-scenes", "many"]) == 1
+
+    def test_bad_config_value_names_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# seed below\nn-scenes=2\nseed=abc\n")
+        assert run(["synth", "--config", cfg,
+                    "--scenes-dir", tmp_path / "scenes"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: config line 3: seed: invalid literal for int() with "
+            "base 10: 'abc'"]
+        assert not (tmp_path / "scenes").exists()
 
 
 class TestBadInputs:
@@ -116,8 +136,22 @@ class TestBadInputs:
          "tree 1: feature 17 not in [0, 17)"),
         (gbt_json({"feature": 2, "threshold": 0.5, "left": {"leaf": 0.1}}),
          "tree 0: node must be a leaf or a split, got keys ['feature', 'left'"),
+        (logistic_json(bias=float("nan")),
+         "model JSON bias must be a finite number, got nan"),
+        (logistic_json(weights=[float("inf")] + [0.0] * 16),
+         "model JSON weights must be finite, 1-D and as long as weights"),
+        (logistic_json(feature_mean=[0.0] * 16),
+         "model JSON feature_mean must be finite, 1-D and as long as weights"),
+        (logistic_json(feature_std=[0.0] * 17),
+         "model JSON feature_std must be > 0"),
+        (gbt_json({"leaf": 0.0}, learning_rate="abc"),
+         "model JSON gbt learning_rate must be finite and > 0, got 'abc'"),
+        (gbt_json({"leaf": 0.0}, n_features="17"),
+         "model JSON gbt n_features must be an int >= 1, got '17'"),
     ], ids=["top_level_array", "one_class_weight", "scalar_class_weights",
-            "gbt_empty_node", "gbt_feature_out_of_range", "gbt_missing_right"])
+            "gbt_empty_node", "gbt_feature_out_of_range", "gbt_missing_right",
+            "nan_bias", "inf_weight", "short_feature_mean", "zero_feature_std",
+            "gbt_string_learning_rate", "gbt_string_n_features"])
     def test_malformed_model_json_exits_1(self, tmp_path, capsys, model_json,
                                           message):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -129,6 +163,42 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert message in err
+        assert not (tmp_path / "proxy.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "sectors", "features"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--crop-half-extent", "0"], "half_extent must be finite and > 0, got 0.0"),
+        (["--track-step-s", "0"], "step_s must be finite and > 0, got 0.0"),
+        (["--track-step-s", "inf"], "step_s must be finite and > 0, got inf"),
+        (["--track-window-s", "0"],
+         "window_s must be finite and >= step_s, got 0.0"),
+        (["--track-window-s", "100"],
+         "window_s must be finite and >= step_s, got 100.0"),
+        (["--wind-dspeed", "nan"], "dspeed must be finite and >= 0, got nan"),
+        (["--wind-dangle", "0"], "dangle must be in (0, 180), got 0.0"),
+        (["--wind-dangle", "180"], "dangle must be in (0, 180), got 180.0"),
+        (["--wind-dangle", "nan"], "dangle must be in (0, 180), got nan"),
+        (["--n-levels", "0"], "n_levels must be an int >= 1, got 0"),
+        (["--n-subsectors", "0"], "n_subsectors must be an int >= 1, got 0"),
+        (["--n-subsectors", "-2"], "n_subsectors must be an int >= 1, got -2"),
+        (["--min-speed-kt", "nan"],
+         "min_speed_kt must be finite and >= 0, got nan"),
+        (["--dedup-radius-deg", "-0.1"],
+         "dedup_radius_deg must be finite and >= 0, got -0.1"),
+    ], ids=["half_extent_zero", "step_zero", "step_inf", "window_zero",
+            "window_below_step", "dspeed_nan", "dangle_zero", "dangle_180",
+            "dangle_nan", "levels_zero", "subsectors_zero",
+            "subsectors_negative", "min_speed_nan", "dedup_negative"])
+    def test_bad_pipeline_parameters_exit_1(self, tmp_path, capsys, command,
+                                            flags, message):
+        # checked before any scene is read or written
+        assert run([command, "--scenes-dir", tmp_path / "scenes",
+                    "--dataset-file", tmp_path / "dataset.csv",
+                    "--sectors-file", tmp_path / "sectors.geojson",
+                    *flags]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: pipeline " + message]
+        assert not any(tmp_path.iterdir())
 
     def test_nonfinite_dataset_exits_1(self, tmp_path, capsys):
         dataset = revisit_dataset(tmp_path / "dataset.csv")

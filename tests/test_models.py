@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from shipplume.dataset import FEATURE_BASE
-from shipplume.models import (LogisticModel, ThresholdModel,
+from shipplume.models import (LogisticModel, ThresholdModel, check_params,
                               class_weight_pair, eval_tree, fit_family,
                               fit_gbt_arrays, fit_logistic_arrays,
                               fit_threshold_values, leaf_value,
@@ -217,6 +217,20 @@ class TestGBT:
         with pytest.raises(ValueError) as exc:
             fit_gbt_arrays(X, y, {"n_trees": 2, **params})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", ["gbt", "logistic", "no2"])
+    def test_unknown_parameter_rejected(self, family):
+        with pytest.raises(ValueError) as exc:
+            check_params(family, {"foo": 1})
+        assert str(exc.value) == f"{family} has no parameter foo"
+
+    def test_model_holds_parameters_as_their_default_types(self, rng):
+        # the search draws min_child_weight from ints
+        X = rng.normal(size=(20, 2))
+        y = np.arange(20) % 2
+        m = fit_gbt_arrays(X, y, {"n_trees": np.int64(2), "min_child_weight": 2})
+        assert type(m.n_trees) is int and m.n_trees == 2
+        assert type(m.min_child_weight) is float and m.min_child_weight == 2.0
 
     def test_leaf_values_match_second_order_oracle(self, rng):
         n, d = 120, 5

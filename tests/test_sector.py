@@ -44,7 +44,8 @@ def oracle_pixel_set(sector, spec):
     """(row, col) of every cell whose center the exact oracle puts inside
     or on the sector polygon."""
     cells = [(r, c) for r in range(spec.n_rows) for c in range(spec.n_cols)]
-    lat, lon = np.array([spec.cell_center(r, c) for r, c in cells]).T
+    lat, lon = np.array([(spec.lat_centers()[r], spec.lon_centers()[c])
+                         for r, c in cells]).T
     inside = geo.covers(lonlat(sector.polygon), lon, lat)
     return {cell for cell, ok in zip(cells, inside) if ok}
 

@@ -7,8 +7,8 @@ from shipplume.dataset import parse_labels_csv
 from shipplume.evaluation import pearson
 from shipplume.grid import GridSpec, grid_to_csv, parse_samples_csv, quality_filter, regrid
 from shipplume.pipeline import PipelineParams, build_ship_images, read_scene_dir
-from shipplume.synth import (SceneConfig, expected_deposit_fraction,
-                             generate_corpus, generate_scene, scene_to_inputs)
+from shipplume.synth import (SceneConfig, generate_corpus, generate_scene,
+                             scene_to_inputs)
 from shipplume.tracks import WindVector
 
 import geometry_oracle as geo
@@ -24,6 +24,16 @@ def quiet_config(**kw):
                 speed_range_kt=(14.5, 20.0))
     base.update(kw)
     return SceneConfig(**base)
+
+
+def expected_deposit_fraction(config: SceneConfig) -> float:
+    """Decay-weighted fraction of emission_scale * E_s that the puff train
+    deposits (exact, before any loss at the grid border)."""
+    n_steps = int(math.floor(config.window_s / config.step_s + 1e-9))
+    ln2 = math.log(2.0)
+    return sum((config.step_s / config.window_s)
+               * math.exp(-ln2 * (k * config.step_s) / config.decay_halflife_s)
+               for k in range(n_steps + 1))
 
 
 class TestGenerateScene:
@@ -45,7 +55,7 @@ class TestGenerateScene:
         rows, cols = np.nonzero(plume > plume.max() * 1e-6)
         cell_m = spec.cell_size * 111320.0
         for r, c in zip(rows, cols):
-            lat, lon = spec.cell_center(r, c)
+            lat, lon = spec.lat_centers()[r], spec.lon_centers()[c]
             d = min(math.hypot((lat - p_lat) * 111320.0,
                                (lon - p_lon) * 111320.0
                                * math.cos(math.radians(lat)))
@@ -105,7 +115,7 @@ class TestGenerateScene:
             poly = lonlat(im.sector.polygon)
             rows, cols = np.nonzero(mask)
             for r, c in zip(rows, cols):
-                lat, lon = spec.cell_center(int(r), int(c))
+                lat, lon = spec.lat_centers()[r], spec.lon_centers()[c]
                 assert geo.distance(poly, lon, lat) <= cell_deg
 
 
@@ -140,7 +150,8 @@ class TestSceneToInputs:
             off_c = round((im.crop.spec.lon_min - spec.lon_min) / spec.cell_size)
             for r in range(im.crop.spec.n_rows):
                 for c in range(im.crop.spec.n_cols):
-                    lat, lon = im.crop.spec.cell_center(r, c)
+                    lat = im.crop.spec.lat_centers()[r]
+                    lon = im.crop.spec.lon_centers()[c]
                     if mask[off_r + r, off_c + c] and \
                             geo.covers(poly, lon, lat):
                         expect.add((im.group_id, r, c))
