@@ -22,7 +22,7 @@ from .enhance import moran_enhance, moran_on_high
 from .fileio import write_atomic
 from .grid import GridSpec, grid_to_csv, parse_grid_csv, parse_samples_csv, quality_filter, regrid
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
-                       build_sectors, read_manifest, read_scene_dir)
+                       build_ship_images, read_manifest, read_scene_dir)
 from .sector import sectors_to_geojson
 
 _GBT, _LOGISTIC = md.DEFAULT_GBT_PARAMS, md.DEFAULT_LOGISTIC_PARAMS
@@ -87,10 +87,6 @@ KEYS: dict[str, tuple[type, object, str]] = {
     "logistic-max-iter": (int, _LOGISTIC["max_iter"], "logistic: maximum iterations"),
     "logistic-lr": (float, _LOGISTIC["lr"], "logistic: gradient descent step"),
 }
-
-COMMANDS = ("synth", "ingest", "sectors", "enhance", "features", "train",
-            "evaluate", "proxy-report")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # validation errors exit with code 1
@@ -197,8 +193,10 @@ def cmd_sectors(cfg: dict) -> None:
     refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
     sectors = []
     for ref in refs:
-        _, records, wind, _, _ = read_scene_dir(ref.path)
-        sectors.extend(build_sectors(records, wind, ref.t_overpass, params))
+        image, records, wind, registry, _ = read_scene_dir(ref.path)
+        images, _ = build_ship_images(image, records, wind, registry,
+                                      ref.t_overpass, params)
+        sectors += [im.sector for im in images]
     write_atomic(cfg["sectors-file"], sectors_to_geojson(sectors))
     print(f"sectors: scenes={len(refs)} sectors={len(sectors)} "
           f"out={cfg['sectors-file']}")
@@ -291,13 +289,11 @@ DISPATCH = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="shipplume",
                      description="Ship NO2 plume segmentation pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for key, (caster, _, help_text) in KEYS.items():
-            p.add_argument(f"--{key}", type=caster, default=None,
-                           dest=key.replace("-", "_"), help=help_text)
+    parser.add_argument("command", choices=DISPATCH)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    for key, (caster, _, help_text) in KEYS.items():
+        parser.add_argument(f"--{key}", type=caster, default=None,
+                            dest=key.replace("-", "_"), help=help_text)
     return parser
 
 

@@ -87,37 +87,23 @@ def select_ships(candidates: list[tuple[ShipInfo, Track]],
     fast = [(info, tr) for info, tr in candidates
             if info.speed_ms / KNOT_MS > min_speed_kt]
     n = len(fast)
-    if n == 0:
-        return []
     centers = [mean_position(tr) for _, tr in fast]
-
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(centers[i][0] - centers[j][0],
-                           centers[i][1] - centers[j][1])
-            if d <= dedup_radius_deg:
-                parent[find(i)] = find(j)
-
-    best: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        if root not in best:
-            best[root] = i
-        else:
-            cur = fast[best[root]][0]
-            cand = fast[i][0]
-            if (cand.speed_ms, -cand.mmsi) > (cur.speed_ms, -cur.mmsi):
-                best[root] = i
-    keep = sorted(best.values())
-    return [fast[i] for i in keep]
+    near = np.array([[math.hypot(a[0] - b[0], a[1] - b[1]) <= dedup_radius_deg
+                      for b in centers] for a in centers], dtype=bool)
+    # label each ship with the smallest index it reaches through near pairs
+    label = np.arange(n)
+    while n:
+        step = np.where(near, label, n).min(axis=1)
+        if np.array_equal(step, label):
+            break
+        label = step
+    clusters: dict[int, list[int]] = {}
+    for i, root in enumerate(label.tolist()):
+        clusters.setdefault(root, []).append(i)
+    # max keeps the first of equally fast ships with the same mmsi
+    keep = [max(members, key=lambda i: (fast[i][0].speed_ms, -fast[i][0].mmsi))
+            for members in clusters.values()]
+    return [fast[i] for i in sorted(keep)]
 
 
 def wind_direction_features(wind: WindVector) -> tuple[float, float]:

@@ -191,20 +191,6 @@ def _gradient(p: np.ndarray, w: np.ndarray, Xs: np.ndarray, y: np.ndarray,
     return Xs.T @ p + 2.0 * l2 * w, float(p.sum())
 
 
-def logistic_loss_grad(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
-                       sample_weight: np.ndarray, l2: float,
-                       ) -> tuple[float, np.ndarray, float]:
-    """Mean weighted cross-entropy plus l2*||w||^2, with its gradient."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = expit(Xs @ w + b)
-        eps = 1e-12
-        ce = -(y * np.log(np.clip(p, eps, 1.0))
-               + (1 - y) * np.log(np.clip(1.0 - p, eps, 1.0)))
-        loss = float(np.mean(sample_weight * ce) + l2 * np.dot(w, w))
-        grad_w, grad_b = _gradient(p, w, Xs, y, sample_weight, l2)
-    return loss, grad_w, grad_b
-
-
 def class_weight_pair(y: np.ndarray) -> tuple[float, float]:
     n = len(y)
     n_pos = int(np.sum(y == 1))
@@ -247,13 +233,6 @@ def fit_logistic_path(X: np.ndarray, y: np.ndarray, param_sets: list[dict],
                 held[k] = w.copy(), b
     return [LogisticModel(*held.get(m, (w, b)), class_weights=(w_neg, w_pos),
                           feature_mean=mean, feature_std=std) for m in stops]
-
-
-def fit_logistic_arrays(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-                        max_iter: int = 1000, lr: float = 0.5,
-                        n_continuous: int = N_CONTINUOUS) -> LogisticModel:
-    return fit_logistic_path(X, y, [{"l2": l2, "max_iter": max_iter, "lr": lr}],
-                             n_continuous)[0]
 
 
 # --- gradient-boosted trees -------------------------------------------------
@@ -403,7 +382,9 @@ def predict_scores(model, X, moran_high: np.ndarray | None = None) -> np.ndarray
 def predict_labels(model, scores: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
     """Binary predictions from the scores predict_scores returned for the
     model; threshold models compare against their own fitted threshold,
-    probabilistic models against the cutoff."""
+    probabilistic models against the cutoff, which must lie in [0, 1]."""
+    if not 0 <= cutoff <= 1:
+        raise ValueError(f"cutoff must be finite and in [0, 1], got {cutoff!r}")
     if isinstance(model, ThresholdModel):
         return (scores >= model.threshold).astype(int)
     return (scores >= cutoff).astype(int)

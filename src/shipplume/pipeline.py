@@ -1,8 +1,9 @@
 """End-to-end per-ship processing: from scene files (raster, AIS, wind,
 registry) to sector geometry, enhanced crops, and normalized pixel features.
 
-Both the feature-extraction CLI and the synthetic-scene label writer run
-through this module, so sector pixels are computed identically on both sides.
+The feature-extraction CLI, the sector writer and the synthetic-scene label
+writer all run through build_ship_images, so each sees the same ships,
+sectors and pixels.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
 from .enhance import moran_enhance, moran_on_high
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, GridImage, _check_rules,
                    _finite, _finite_number, _parse_rows, crop, parse_grid_csv)
-from .sector import ShipSector, build_sector, normalize, pixels_in_sector
-from .tracks import (AISRecord, ShipInfo, Track, WindSample, WindVector,
-                     extreme_tracks, interpolate_track, lookup_wind,
-                     mean_position, overpass_speed_ms, parse_ais_csv,
-                     parse_registry_csv, parse_wind_csv, wind_shift)
+from .sector import build_sector, normalize, pixels_in_sector
+from .tracks import (AISRecord, ShipInfo, WindSample, extreme_tracks,
+                     interpolate_track, lookup_wind, mean_position,
+                     overpass_speed_ms, parse_ais_csv, parse_registry_csv,
+                     parse_wind_csv, wind_shift)
 
 
 @dataclass(frozen=True)
@@ -52,91 +53,76 @@ def group_id_for(mmsi: int, t_overpass: float) -> str:
     return f"{mmsi}_{date.isoformat()}"
 
 
-def _ship_tracks(records: list[AISRecord], registry: dict[int, float] | None,
-                 wind_samples: list[WindSample], t_overpass: float,
-                 params: PipelineParams, skip):
-    """Per-ship set-up shared by the image and sector builders: in MMSI order,
-    yield (mmsi, records, resampled track, wind at the track mean). Ships
-    missing from the registry (when one is given) or with too little AIS
-    coverage go to skip() instead."""
-    by_mmsi: dict[int, list[AISRecord]] = {}
-    for rec in records:
-        by_mmsi.setdefault(rec.mmsi, []).append(rec)
-    for mmsi in sorted(by_mmsi):
-        recs = by_mmsi[mmsi]
-        if registry is not None and mmsi not in registry:
-            skip("no registry entry")
-            continue
-        try:
-            track = interpolate_track(recs, t_overpass,
-                                      window_s=params.window_s,
-                                      step_s=params.step_s)
-        except ValueError:
-            skip("insufficient AIS coverage")
-            continue
-        wind = lookup_wind(wind_samples, t_overpass, *mean_position(track))
-        yield mmsi, recs, track, wind
-
-
-def _sector(track: Track, wind: WindVector, t_overpass: float,
-            params: PipelineParams) -> ShipSector:
-    """The search sector between the track and its two extreme tracks."""
-    ext_left, ext_right = extreme_tracks(track, wind, t_overpass,
-                                         dspeed=params.dspeed,
-                                         dangle=params.dangle)
-    return build_sector(track, ext_left, ext_right,
-                        angle_half_width=params.dangle)
+# The ValueError messages that skip a ship; any other ValueError propagates.
+SKIP_REASONS = frozenset({
+    "no registry entry", "insufficient AIS coverage",
+    "speed/duplicate selection", "center out of bounds", "empty crop",
+    "insufficient pixels", "constant image", "degenerate sector",
+    "empty sector"})
 
 
 def build_ship_images(image: GridImage, records: list[AISRecord],
                       wind_samples: list[WindSample], registry: dict[int, float],
                       t_overpass: float, params: PipelineParams,
                       ) -> tuple[list[ShipImage], dict[str, int]]:
-    """Run the sector pipeline for every ship that passes the selection rules.
+    """Run the sector pipeline for every ship, in MMSI order, that passes the
+    selection rules; this is the one loop over a scene's ships.
 
-    Ships that cannot be processed (too few AIS records, crop outside the
-    raster, degenerate sector, constant crop) are skipped and tallied.
+    A ship that fails a step with a message in SKIP_REASONS is skipped and
+    tallied by that message.
     """
     skipped: dict[str, int] = {}
 
-    def skip(reason: str) -> None:
+    def skip(exc: ValueError) -> None:
+        reason = str(exc)
+        if reason not in SKIP_REASONS:
+            raise exc
         skipped[reason] = skipped.get(reason, 0) + 1
 
+    by_mmsi: dict[int, list[AISRecord]] = {}
+    for rec in records:
+        by_mmsi.setdefault(rec.mmsi, []).append(rec)
     prepared = []
-    for mmsi, recs, track, wind in _ship_tracks(records, registry, wind_samples,
-                                                t_overpass, params, skip):
+    for mmsi in sorted(by_mmsi):
+        try:
+            if mmsi not in registry:
+                raise ValueError("no registry entry")
+            track = interpolate_track(by_mmsi[mmsi], t_overpass,
+                                      window_s=params.window_s,
+                                      step_s=params.step_s)
+        except ValueError as exc:
+            skip(exc)
+            continue
+        wind = lookup_wind(wind_samples, t_overpass, *mean_position(track))
         info = ShipInfo(mmsi=mmsi, length_m=registry[mmsi],
-                        speed_ms=overpass_speed_ms(recs, t_overpass))
-        shifted = wind_shift(track, wind, t_overpass)
-        prepared.append((info, track, wind, shifted))
+                        speed_ms=overpass_speed_ms(by_mmsi[mmsi], t_overpass))
+        prepared.append((info, track, wind, wind_shift(track, wind, t_overpass)))
 
     selected = select_ships([(info, shifted) for info, _, _, shifted in prepared],
                             min_speed_kt=params.min_speed_kt,
                             dedup_radius_deg=params.dedup_radius_deg)
     keep = {info.mmsi for info, _ in selected}
-    skipped_sel = len(prepared) - len(keep)
-    if skipped_sel:
-        skipped["speed/duplicate selection"] = skipped_sel
-
     images: list[ShipImage] = []
     for info, track, wind, shifted in prepared:
-        if info.mmsi not in keep:
-            continue
-        center_lat, center_lon = mean_position(shifted)
         try:
-            cimg = crop(image, center_lat, center_lon, params.half_extent)
+            if info.mmsi not in keep:
+                raise ValueError("speed/duplicate selection")
+            cimg = crop(image, *mean_position(shifted), params.half_extent)
             enhanced = moran_enhance(cimg)
             enhanced_high = moran_on_high(cimg)
-            sec = _sector(track, wind, t_overpass, params)
+            ext_left, ext_right = extreme_tracks(track, wind, t_overpass,
+                                                 dspeed=params.dspeed,
+                                                 dangle=params.dangle)
+            sec = build_sector(track, ext_left, ext_right,
+                               angle_half_width=params.dangle)
             pixels = pixels_in_sector(sec, cimg)
             if len(pixels) == 0:
-                skip("empty sector")
-                continue
+                raise ValueError("empty sector")
             level, sub_sector = normalize(sec, pixels, cimg,
                                           n_levels=params.n_levels,
                                           n_subsectors=params.n_subsectors)
         except ValueError as exc:
-            skip(str(exc))
+            skip(exc)
             continue
         images.append(ShipImage(group_id=group_id_for(info.mmsi, t_overpass),
                                 info=info, wind=wind, crop=cimg,
@@ -144,20 +130,6 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
                                 sector=sec, pixels=pixels, level=level,
                                 sub_sector=sub_sector))
     return images, skipped
-
-
-def build_sectors(records: list[AISRecord], wind_samples: list[WindSample],
-                  t_overpass: float, params: PipelineParams) -> list[ShipSector]:
-    """Sector polygons only (no raster work), one per processable ship."""
-    sectors = []
-    for _, _, track, wind in _ship_tracks(records, None, wind_samples,
-                                          t_overpass, params,
-                                          skip=lambda reason: None):
-        try:
-            sectors.append(_sector(track, wind, t_overpass, params))
-        except ValueError:
-            continue
-    return sectors
 
 
 # --- scene directories -------------------------------------------------------

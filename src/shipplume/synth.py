@@ -23,8 +23,9 @@ from scipy.special import erf
 
 from .dataset import labels_to_csv
 from .fileio import write_atomic
-from .grid import (SAMPLE_DTYPE, GridImage, GridSpec, M_PER_DEG_LAT,
-                   fmt_float, grid_to_csv, samples_to_csv)
+from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
+                   SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
+                   _finite_number, fmt_float, grid_to_csv, samples_to_csv)
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        build_ship_images, read_scene_dir)
 from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, WindSample,
@@ -58,14 +59,15 @@ class SceneConfig:
     mmsi_base: int = 200000001
 
     def __post_init__(self) -> None:
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.puff_sigma_m <= 0:
-            raise ValueError("puff_sigma_m must be > 0")
-        if self.mask_tau <= 0:
-            raise ValueError("mask_tau must be > 0")
-        if self.n_ships < 1:
-            raise ValueError("need at least one ship")
+        speeds = ("finite with 0 <= min <= max",
+                  lambda v: len(v) == 2 and all(map(_finite_number, v))
+                  and 0 <= v[0] <= v[1])
+        _check_rules("scene", vars(self), {
+            "n_ships": _COUNT, "t_overpass": ("finite", _finite_number),
+            "wind_speed_range": speeds, "noise_std": _NON_NEGATIVE,
+            "noise_corr_cells": _NON_NEGATIVE, "emission_scale": _NON_NEGATIVE,
+            "puff_sigma_m": _POSITIVE, "decay_halflife_s": _POSITIVE,
+            "mask_tau": _POSITIVE})
 
 
 @dataclass

@@ -2,9 +2,10 @@
 clipped cross-entropy loss at every iteration and stops with a divergence
 error when it is non-finite.
 
-``models.fit_logistic_arrays`` drops the loss and tests for divergence
+``models.fit_logistic_path`` drops the loss and tests for divergence
 without it; it must return the same weights and bias, bit for bit, and raise
-exactly where this loop does. Test-only code.
+exactly where this loop does. ``loss_grad``'s loss is also the function whose
+finite differences ``models._gradient`` is checked against. Test-only code.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ from shipplume.evaluation import (average_precision, nested_cv,
                                   proxy_correlation, ship_estimates)
 from shipplume.grid import GridImage, GridSpec, grid_to_csv, parse_grid_csv
 from shipplume.models import (GBTModel, LogisticModel, ThresholdModel,
-                              eval_tree, fit_gbt_arrays, fit_threshold_values,
-                              logistic_loss_grad, model_to_json,
+                              _gradient, eval_tree, fit_gbt_arrays,
+                              fit_threshold_values, model_to_json,
                               parse_model_json)
 from shipplume.pipeline import PipelineParams, build_dataset_from_scenes
 from shipplume.sector import normalize_points, pixels_in_sector, ShipSector
@@ -26,6 +26,7 @@ from shipplume.tracks import (AISRecord, ais_to_csv, parse_ais_csv,
 from scipy.special import expit
 
 from conftest import columns_dataset, random_image
+from logistic_oracle import loss_grad
 from test_enhance import dense_moran_oracle, image_3x3_center9
 from test_evaluation import unrolled_ap_oracle
 from test_models import f1_of
@@ -132,16 +133,16 @@ def test_criterion_03_model_correctness(rng):
         w = rng.normal(scale=0.5, size=d)
         b = float(rng.normal(scale=0.5))
         l2 = float(rng.uniform(0, 0.1))
-        _, gw, gb = logistic_loss_grad(w, b, X, y, sw, l2)
+        gw, gb = _gradient(expit(X @ w + b), w, X, y, sw, l2)
         for j in range(d):
             wp, wm = w.copy(), w.copy()
             wp[j] += eps
             wm[j] -= eps
-            lp = logistic_loss_grad(wp, b, X, y, sw, l2)[0]
-            lm = logistic_loss_grad(wm, b, X, y, sw, l2)[0]
+            lp = loss_grad(wp, b, X, y, sw, l2)[0]
+            lm = loss_grad(wm, b, X, y, sw, l2)[0]
             assert abs(gw[j] - (lp - lm) / (2 * eps)) < 1e-6
-        lp = logistic_loss_grad(w, b + eps, X, y, sw, l2)[0]
-        lm = logistic_loss_grad(w, b - eps, X, y, sw, l2)[0]
+        lp = loss_grad(w, b + eps, X, y, sw, l2)[0]
+        lm = loss_grad(w, b - eps, X, y, sw, l2)[0]
         assert abs(gb - (lp - lm) / (2 * eps)) < 1e-6
 
     # boosted-tree leaf values vs the -G/(H+1) oracle

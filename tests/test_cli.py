@@ -6,6 +6,8 @@ import pytest
 from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header, dataset_to_csv
 from shipplume.fileio import write_atomic
+from shipplume.pipeline import (PipelineParams, build_ship_images,
+                                read_manifest, read_scene_dir)
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
 from conftest import columns_dataset
@@ -199,6 +201,47 @@ class TestBadInputs:
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: pipeline " + message]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mask-tau", "nan"], "mask_tau must be finite and > 0, got nan"),
+        (["--emission-scale", "nan"],
+         "emission_scale must be finite and >= 0, got nan"),
+        (["--decay-halflife-s", "nan"],
+         "decay_halflife_s must be finite and > 0, got nan"),
+        (["--decay-halflife-s", "0"],
+         "decay_halflife_s must be finite and > 0, got 0.0"),
+        (["--puff-sigma-m", "inf"],
+         "puff_sigma_m must be finite and > 0, got inf"),
+        (["--noise-corr-cells", "-1"],
+         "noise_corr_cells must be finite and >= 0, got -1.0"),
+        (["--wind-speed-min", "nan"], "wind_speed_range must be finite "
+         "with 0 <= min <= max, got (nan, 7.0)"),
+        (["--wind-speed-min", "8"], "wind_speed_range must be finite "
+         "with 0 <= min <= max, got (8.0, 7.0)"),
+        (["--start-epoch", "nan"], "t_overpass must be finite, got nan"),
+        (["--ships-per-scene", "0"], "n_ships must be an int >= 1, got 0"),
+    ], ids=["mask_tau_nan", "emission_nan", "halflife_nan", "halflife_zero",
+            "sigma_inf", "corr_negative", "wind_min_nan", "wind_min_above_max",
+            "epoch_nan", "no_ships"])
+    def test_bad_scene_settings_exit_1(self, tmp_path, capsys, flags, message):
+        # checked before any scene is written
+        assert run(["synth", "--scenes-dir", tmp_path / "scenes",
+                    "--n-scenes", "1", *flags]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: scene " + message]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cutoff", ["nan", "2", "-1", "inf"])
+    def test_bad_cutoff_exits_1(self, tmp_path, capsys, cutoff):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        model = tmp_path / "model.json"
+        model.write_text(logistic_json())
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--model-file", model, "--cutoff", cutoff,
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: cutoff must be finite and in [0, 1], "
+            f"got {float(cutoff)!r}"]
 
     def test_nonfinite_dataset_exits_1(self, tmp_path, capsys):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -448,6 +491,44 @@ class TestPipelineCommands:
         obj = json.loads(out.read_text())
         assert obj["type"] == "FeatureCollection"
         assert len(obj["features"]) == 4
+
+    def test_sectors_are_those_of_the_feature_images(self, small_corpus,
+                                                      tmp_path):
+        # scenes 0-2 lose their ship: no registry entry, 10 kt, off the grid
+        def edit(scene, name, change):
+            path = small_corpus / scene / name
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *map(change, rows)]) + "\n")
+            (small_corpus / scene / "labels.csv").unlink(missing_ok=True)
+
+        def field(k, change):
+            return lambda row: ",".join(change(f) if i == k else f
+                                        for i, f in enumerate(row.split(",")))
+
+        edit("scene_000", "ships.csv", field(0, lambda f: "1"))
+        edit("scene_001", "ais.csv", field(4, lambda f: "10.0"))
+        edit("scene_002", "ais.csv", field(2, lambda f: str(float(f) + 10)))
+        dataset = tmp_path / "dataset.csv"
+        sectors = tmp_path / "sectors.geojson"
+        assert run(["features", "--scenes-dir", small_corpus,
+                    "--dataset-file", dataset]) == 0
+        assert run(["sectors", "--scenes-dir", small_corpus,
+                    "--sectors-file", sectors]) == 0
+
+        expected = set()
+        for ref in read_manifest(small_corpus / "scenes.csv"):
+            image, records, wind, registry, _ = read_scene_dir(ref.path)
+            images, _ = build_ship_images(image, records, wind, registry,
+                                          ref.t_overpass, PipelineParams())
+            expected |= {(im.info.mmsi, tuple((lon, lat) for lat, lon
+                                              in im.sector.polygon))
+                         for im in images}
+        written = {(f["properties"]["mmsi"],
+                    tuple(map(tuple, f["geometry"]["coordinates"][0][:-1])))
+                   for f in json.loads(sectors.read_text())["features"]}
+        assert written == expected and len(written) == 1
+        rows = dataset.read_text().splitlines()[1:]
+        assert {int(r.split("_")[0]) for r in rows} == {m for m, _ in written}
 
     def test_enhance_variants(self, small_corpus, tmp_path):
         grid_in = small_corpus / "scene_000" / "grid.csv"

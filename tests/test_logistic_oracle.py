@@ -9,7 +9,7 @@ import logistic_oracle as oracle
 from shipplume import evaluation, models
 from shipplume.evaluation import (average_precision, nested_cv, oof_to_csv,
                                   pr_points_to_csv, report_to_json)
-from shipplume.models import fit_logistic_arrays, fit_logistic_path
+from shipplume.models import fit_logistic_path
 
 from conftest import columns_dataset
 
@@ -21,6 +21,10 @@ def random_problem(rng, n=None, d=None):
     y = (X[:, 0] + rng.normal(size=n) > rng.uniform(-1.0, 1.5)).astype(int)
     y[:2] = 0, 1
     return X, y, d
+
+
+def fit_one(X, y, n_continuous, **params):
+    return fit_logistic_path(X, y, [params], n_continuous)[0]
 
 
 def outcome(fit, *args, **kwargs):
@@ -42,7 +46,7 @@ def test_fit_equals_oracle_bits(seed, l2):
             kwargs = dict(l2=l2, max_iter=max_iter, lr=lr, n_continuous=d)
             expected = outcome(oracle.fit, X, y, **kwargs)
             assert not isinstance(expected, str)
-            assert outcome(fit_logistic_arrays, X, y, **kwargs) == expected
+            assert outcome(fit_one, X, y, **kwargs) == expected
 
 
 def test_path_snapshots_around_convergence(rng):
@@ -67,7 +71,7 @@ def test_too_large_lr_still_diverges(rng):
     assert not isinstance(outcome(oracle.fit, X, y, max_iter=1, **kwargs), str)
     for max_iter in (1, 2, 200):
         expected = outcome(oracle.fit, X, y, max_iter=max_iter, **kwargs)
-        assert outcome(fit_logistic_arrays, X, y, max_iter=max_iter,
+        assert outcome(fit_one, X, y, max_iter=max_iter,
                        **kwargs) == expected
     assert expected == "divergence (try a smaller lr)"
     with pytest.raises(ValueError, match="divergence"):
@@ -79,7 +83,7 @@ def test_nan_probabilities_diverge_like_the_oracle(rng):
     X, y, d = random_problem(rng, n=40, d=3)
     X[5, 1] = np.nan
     kwargs = dict(l2=1e-3, max_iter=50, lr=0.5, n_continuous=d)
-    assert (outcome(fit_logistic_arrays, X, y, **kwargs)
+    assert (outcome(fit_one, X, y, **kwargs)
             == outcome(oracle.fit, X, y, **kwargs)
             == "divergence (try a smaller lr)")
 
@@ -98,7 +102,7 @@ def test_nan_probabilities_diverge_like_the_oracle(rng):
 def test_bad_parameters_rejected(rng, kwargs, message):
     X, y, d = random_problem(rng, n=20, d=2)
     with pytest.raises(ValueError) as exc:
-        fit_logistic_arrays(X, y, n_continuous=d, **kwargs)
+        fit_logistic_path(X, y, [kwargs], d)
     assert str(exc.value) == message
 
 

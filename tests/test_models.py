@@ -3,15 +3,15 @@ import pytest
 from scipy.special import expit
 
 from shipplume.dataset import FEATURE_BASE
-from shipplume.models import (LogisticModel, ThresholdModel, check_params,
-                              class_weight_pair, eval_tree, fit_family,
-                              fit_gbt_arrays, fit_logistic_arrays,
-                              fit_threshold_values, leaf_value,
-                              logistic_loss_grad, model_to_json,
+from shipplume.models import (LogisticModel, ThresholdModel, _gradient,
+                              check_params, class_weight_pair, eval_tree,
+                              fit_family, fit_gbt_arrays, fit_logistic_path,
+                              fit_threshold_values, leaf_value, model_to_json,
                               parse_model_json, predict_labels, predict_scores,
                               standardize_fit)
 
 from conftest import columns_dataset
+from logistic_oracle import loss_grad
 
 
 def dataset_from_arrays(X, y, moran_high=None):
@@ -100,8 +100,8 @@ class TestLogistic:
     def test_separable_sign(self):
         X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        m = fit_logistic_arrays(X, y, l2=0.0, max_iter=500, lr=0.5,
-                                n_continuous=1)
+        m = fit_logistic_path(X, y, [dict(l2=0.0, max_iter=500, lr=0.5)],
+                              1)[0]
         assert m.weights[0] > 0
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -113,17 +113,17 @@ class TestLogistic:
         for _ in range(10):
             w = rng.normal(scale=0.5, size=d)
             b = float(rng.normal(scale=0.5))
-            _, gw, gb = logistic_loss_grad(w, b, X, y, sw, l2)
+            gw, gb = _gradient(expit(X @ w + b), w, X, y, sw, l2)
             eps = 1e-5
             for j in range(d):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += eps
                 wm[j] -= eps
-                lp, _, _ = logistic_loss_grad(wp, b, X, y, sw, l2)
-                lm, _, _ = logistic_loss_grad(wm, b, X, y, sw, l2)
+                lp, _, _ = loss_grad(wp, b, X, y, sw, l2)
+                lm, _, _ = loss_grad(wm, b, X, y, sw, l2)
                 assert gw[j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
-            lp, _, _ = logistic_loss_grad(w, b + eps, X, y, sw, l2)
-            lm, _, _ = logistic_loss_grad(w, b - eps, X, y, sw, l2)
+            lp, _, _ = loss_grad(w, b + eps, X, y, sw, l2)
+            lm, _, _ = loss_grad(w, b - eps, X, y, sw, l2)
             assert gb == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
 
     def test_class_weights_formula(self):
@@ -142,10 +142,9 @@ class TestLogistic:
         y = np.array([0] * n_neg + [1] * n_pos)
         X_dup = np.vstack([Xn] + [Xp] * rep)
         y_dup = np.array([0] * n_neg + [1] * n_pos * rep)
-        m = fit_logistic_arrays(X, y, l2=0.0, max_iter=30000, lr=1.0,
-                                n_continuous=3)
-        m_dup = fit_logistic_arrays(X_dup, y_dup, l2=0.0, max_iter=30000,
-                                    lr=1.0, n_continuous=3)
+        params = [dict(l2=0.0, max_iter=30000, lr=1.0)]
+        m = fit_logistic_path(X, y, params, 3)[0]
+        m_dup = fit_logistic_path(X_dup, y_dup, params, 3)[0]
         assert m_dup.class_weights == (1.0, 1.0)
         p = predict_scores(m, X)
         p_dup = predict_scores(m_dup, X)
@@ -155,8 +154,8 @@ class TestLogistic:
         X = rng.normal(size=(20, 2)) * 1e6
         y = np.array([0, 1] * 10)
         with pytest.raises(ValueError, match="divergence"):
-            fit_logistic_arrays(X, y, l2=0.0, max_iter=200, lr=1e300,
-                                n_continuous=0)
+            fit_logistic_path(X, y, [dict(l2=0.0, max_iter=200, lr=1e300)],
+                              0)
 
     def test_zero_weight_model_scores_half(self, rng):
         m = LogisticModel(weights=np.zeros(4), bias=0.0,
@@ -170,12 +169,11 @@ class TestLogistic:
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, size=50)
         y[0], y[1] = 0, 1
-        m1 = fit_logistic_arrays(X, y, l2=1e-3, max_iter=300, lr=0.5,
-                                 n_continuous=4)
+        params = [dict(l2=1e-3, max_iter=300, lr=0.5)]
+        m1 = fit_logistic_path(X, y, params, 4)[0]
         X2 = X.copy()
         X2[:, 1] *= 2.0
-        m2 = fit_logistic_arrays(X2, y, l2=1e-3, max_iter=300, lr=0.5,
-                                 n_continuous=4)
+        m2 = fit_logistic_path(X2, y, params, 4)[0]
         np.testing.assert_array_equal(
             predict_labels(m1, predict_scores(m1, X)),
             predict_labels(m2, predict_scores(m2, X2)))
