@@ -224,6 +224,8 @@ def cmd_features(cfg: dict) -> None:
     print(f"features: ships={counts.get('ships', 0)} skipped={skips} "
           f"rows={len(dataset)} positives={pos} negatives={neg} "
           f"dropped_nonfinite={dataset.n_dropped} out={cfg['dataset-file']}")
+    for reason in sorted(counts.keys() - {"ships"}):
+        print(f"features: skipped {counts[reason]}: {reason}", file=sys.stderr)
 
 
 def cmd_train(cfg: dict) -> None:

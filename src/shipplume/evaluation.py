@@ -8,6 +8,8 @@ fold, in both the outer evaluation loop and the inner selection loop.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -186,6 +188,60 @@ def _search_scores(family: str, X, y, aux, candidates: list[dict], seed,
     return [float(np.mean(s)) if s else -1.0 for s in aps]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where that call or fork is missing."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+# The arguments of the running nested_cv, which forked workers read unpickled
+_JOB: tuple = ()
+
+
+def _outer_fold(k: int) -> tuple[FoldResult, tuple, list[dict]]:
+    """Outer fold k of the running nested_cv: its result, its (test rows,
+    scores, predictions) and its split records."""
+    family, X, y, aux, table, outer, n_inner, n_candidates, seed, base = _JOB
+    train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
+    tr = _rows_of(train_groups, table)
+    te = _rows_of(outer[k], table)
+    splits = [{"kind": "outer", "fold": k, "train_groups": train_groups,
+               "test_groups": outer[k]}]
+
+    params: dict = dict(base or {})
+    if family in DEFAULT_SPACES and n_candidates > 1:
+        frng = np.random.default_rng([seed, k])
+        candidates = [sample_params(DEFAULT_SPACES[family], frng)
+                      for _ in range(n_candidates)]
+        inner = _deal(train_groups, n_inner, frng)
+        inner_splits = []
+        for j, val_groups in enumerate(inner):
+            fit_groups = [g for m, fold in enumerate(inner) if m != j
+                          for g in fold]
+            inner_splits.append((_rows_of(fit_groups, table),
+                                 _rows_of(val_groups, table)))
+            splits.append({"kind": "inner", "fold": k, "inner_fold": j,
+                           "train_groups": fit_groups,
+                           "test_groups": val_groups})
+        merged = [{**params, **c} for c in candidates]
+        scores = _search_scores(family, X, y, aux, merged, seed, inner_splits)
+        params.update(candidates[scores.index(max(scores))])  # first best
+
+    model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
+    s = predict_scores(model, X[te], aux[te])
+    p = predict_labels(model, s)
+    m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
+    return FoldResult(fold=k, params=params, metrics=m), (te, s, p), splits
+
+
+def _fold_or_error(k: int):
+    try:
+        return _outer_fold(k)
+    except ValueError as exc:  # nested_cv raises it in fold order
+        return exc
+
+
 def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
               n_inner: int = 5, n_candidates: int = 10, seed: int = 0,
               base_params: dict | None = None) -> CVReport:
@@ -196,7 +252,11 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     and selects by mean inner AP. With a single candidate, or for the
     threshold baselines (no search space), the inner loop is skipped and the
     evaluation is plain group k-fold CV.
+
+    The outer folds run on the CPUs this process may use, in forked workers
+    and the caller, with the results and first error of a one-CPU run.
     """
+    global _JOB
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown model family: {family}")
     if n_outer < 2 or n_inner < 2:
@@ -205,54 +265,41 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     if n_candidates < 1:
         raise ValueError(f"candidate count must be >= 1, got {n_candidates}")
     check_params(family, base_params)  # also the values the search replaces
-    space = DEFAULT_SPACES.get(family, {})
-    X = ds.X
     y = ds.require_labels()
-    aux = ds.moran_high
     table = _group_indices(ds.group_ids)
     uniq = sorted(table)
     if len(uniq) < n_outer:
         raise ValueError("group count < fold count")
-    rng = np.random.default_rng(seed)
-    outer = _deal(uniq, n_outer, rng)
+    outer = _deal(uniq, n_outer, np.random.default_rng(seed))
+    if (family in DEFAULT_SPACES and n_candidates > 1
+            and len(uniq) - max(map(len, outer)) < n_inner):
+        raise ValueError("group count < fold count")
 
-    folds: list[FoldResult] = []
-    pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    splits: list[dict] = []
-    for k, test_groups in enumerate(outer):
-        train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
-        tr = _rows_of(train_groups, table)
-        te = _rows_of(test_groups, table)
-        splits.append({"kind": "outer", "fold": k,
-                       "train_groups": train_groups,
-                       "test_groups": test_groups})
-
-        params: dict = dict(base_params or {})
-        if space and n_candidates > 1:
-            if len(train_groups) < n_inner:
-                raise ValueError("group count < fold count")
-            frng = np.random.default_rng([seed, k])
-            candidates = [sample_params(space, frng) for _ in range(n_candidates)]
-            inner = _deal(train_groups, n_inner, frng)
-            inner_splits = []
-            for j, val_groups in enumerate(inner):
-                fit_groups = [g for m, fold in enumerate(inner) if m != j
-                              for g in fold]
-                inner_splits.append((_rows_of(fit_groups, table),
-                                     _rows_of(val_groups, table)))
-                splits.append({"kind": "inner", "fold": k, "inner_fold": j,
-                               "train_groups": fit_groups,
-                               "test_groups": val_groups})
-            merged = [{**params, **c} for c in candidates]
-            scores = _search_scores(family, X, y, aux, merged, seed, inner_splits)
-            params.update(candidates[scores.index(max(scores))])  # first best
-
-        model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
-        s = predict_scores(model, X[te], aux[te])
-        p = predict_labels(model, s)
-        m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
-        folds.append(FoldResult(fold=k, params=params, metrics=m))
-        pooled.append((te, s, p))
+    n = min(_cpu_count(), n_outer)
+    _JOB = (family, ds.X, y, ds.moran_high, table, outer, n_inner,
+            n_candidates, seed, base_params)
+    results: list = [None] * n_outer
+    pool = None
+    try:
+        if n > 1:
+            pool = multiprocessing.get_context("fork").Pool(n - 1)
+        theirs = [k for k in range(n_outer) if k % n]
+        pending = pool and pool.map_async(_fold_or_error, theirs)
+        for k in range(0, n_outer, n):
+            results[k] = _fold_or_error(k)
+            if isinstance(results[k], ValueError):
+                break
+        for k, result in zip(theirs, pending.get() if pool else []):
+            results[k] = result
+    finally:
+        _JOB = ()
+        if pool:
+            pool.terminate()
+            pool.join()
+    for result in results:  # a fold the caller skipped follows an error
+        if isinstance(result, ValueError):
+            raise result
+    folds, pooled, splits = zip(*results)
 
     summary = {}
     for name in ("precision", "recall", "f1", "ap"):
@@ -260,11 +307,11 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
         summary[name] = (float(vals.mean()), float(vals.std()))
     oof_index, oof_score, oof_pred = (np.concatenate(a) for a in zip(*pooled))
     return CVReport(family=family, n_outer=n_outer, n_inner=n_inner,
-                    n_candidates=n_candidates, seed=seed, folds=folds,
+                    n_candidates=n_candidates, seed=seed, folds=list(folds),
                     summary=summary,
                     pr_points=pr_curve(y[oof_index], oof_score),
                     oof_index=oof_index, oof_score=oof_score,
-                    oof_pred=oof_pred, splits=splits)
+                    oof_pred=oof_pred, splits=[s for f in splits for s in f])
 
 
 # --- per-ship emission comparison -------------------------------------------

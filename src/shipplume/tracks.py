@@ -182,9 +182,15 @@ def ais_to_csv(records: list[AISRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ais_record(fields: list[str]) -> AISRecord:
+    record = AISRecord(int(fields[0]), *map(_finite, fields[1:]))
+    if record.speed < 0:  # heading is free: AIS writes 511 for "unknown"
+        raise ValueError("speed_kt must be >= 0")
+    return record
+
+
 def parse_ais_csv(text: str) -> list[AISRecord]:
-    return _parse_rows(text, AIS_HEADER, "AIS",
-                       lambda f: AISRecord(int(f[0]), *map(_finite, f[1:])))
+    return _parse_rows(text, AIS_HEADER, "AIS", _ais_record)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from shipplume import evaluation
 from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header, dataset_to_csv
 from shipplume.fileio import write_atomic
@@ -14,7 +17,9 @@ from conftest import columns_dataset
 
 
 def run(argv):
-    return main([str(a) for a in argv])
+    code = main([str(a) for a in argv])
+    assert multiprocessing.active_children() == []  # every worker joined
+    return code
 
 
 def revisit_dataset(path):
@@ -424,6 +429,41 @@ class TestBadInputs:
             "error: " + message]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
 
+    def test_error_in_a_worker_fold_exits_1(self, tmp_path, capsys,
+                                            monkeypatch):
+        caller = os.getpid()
+        real_fit = evaluation.fit_family
+
+        def fit(*args):
+            if os.getpid() != caller:
+                raise ValueError("divergence (try a smaller lr)")
+            return real_fit(*args)
+
+        # the caller runs outer fold 0, a forked worker fold 1
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(evaluation, "fit_family", fit)
+        assert run_on_8_groups(tmp_path, "evaluate", "no2", []) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: divergence (try a smaller lr)"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
+
+    @pytest.mark.parametrize("scene_file, edit, message", [
+        ("ais.csv", lambda fields: fields[:4] + ["-0.5"] + fields[5:],
+         "AIS CSV line 2: speed_kt must be >= 0"),
+    ], ids=["ais_negative_speed"])
+    def test_bad_scene_file_row_exits_1(self, small_corpus, tmp_path, capsys,
+                                        scene_file, edit, message):
+        path = small_corpus / "scene_001" / scene_file
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, ",".join(edit(first.split(","))),
+                                   *rest]) + "\n")
+        dataset = tmp_path / "dataset.csv"
+        assert run(["features", "--scenes-dir", small_corpus,
+                    "--dataset-file", dataset]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: " + message]
+        assert not dataset.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("lat_min", "nan"), ("lon_min", "-inf"), ("cell_size", "inf"),
     ])
@@ -493,7 +533,7 @@ class TestPipelineCommands:
         assert len(obj["features"]) == 4
 
     def test_sectors_are_those_of_the_feature_images(self, small_corpus,
-                                                      tmp_path):
+                                                      tmp_path, capsys):
         # scenes 0-2 lose their ship: no registry entry, 10 kt, off the grid
         def edit(scene, name, change):
             path = small_corpus / scene / name
@@ -512,6 +552,10 @@ class TestPipelineCommands:
         sectors = tmp_path / "sectors.geojson"
         assert run(["features", "--scenes-dir", small_corpus,
                     "--dataset-file", dataset]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "features: skipped 1: center out of bounds",
+            "features: skipped 1: no registry entry",
+            "features: skipped 1: speed/duplicate selection"]
         assert run(["sectors", "--scenes-dir", small_corpus,
                     "--sectors-file", sectors]) == 0
 

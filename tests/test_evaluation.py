@@ -1,9 +1,12 @@
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from shipplume import evaluation
 from shipplume.dataset import FEATURE_BASE
 from shipplume.evaluation import (ShipTable, average_precision,
                                   estimates_to_csv, nested_cv, pearson,
@@ -188,6 +191,73 @@ class TestNestedCv:
         ds = grouped_dataset(rng, n_groups=3)
         with pytest.raises(ValueError, match="group count < fold count"):
             nested_cv(ds, "no2", n_outer=5, n_candidates=1)
+
+    def test_inner_fold_count_checked_before_any_fold(self, rng,
+                                                      monkeypatch):
+        ds = grouped_dataset(rng, n_groups=6)
+        started = []
+        monkeypatch.setattr(evaluation, "_outer_fold", started.append)
+        # each outer training set has 3 groups, fewer than 5 inner folds
+        with pytest.raises(ValueError) as exc:
+            nested_cv(ds, "logistic", n_outer=2, n_inner=5, n_candidates=3)
+        assert str(exc.value) == "group count < fold count"
+        assert started == []
+        monkeypatch.undo()
+        # without a search the inner fold count is not used
+        nested_cv(ds, "logistic", n_outer=2, n_inner=5, n_candidates=1,
+                  base_params={"max_iter": 20})
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_workers_joined_and_child_error_raised(self, rng, monkeypatch,
+                                                   fails):
+        ds = grouped_dataset(rng, n_groups=6)
+        caller = os.getpid()
+        real_fit = evaluation.fit_family
+
+        def fit(*args):
+            if fails and os.getpid() != caller:
+                raise ValueError("fit failed in a worker")
+            return real_fit(*args)
+
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(evaluation, "fit_family", fit)
+        # the caller fits fold 0, the one worker fold 1
+        if fails:
+            with pytest.raises(ValueError, match="^fit failed in a worker$"):
+                nested_cv(ds, "no2", n_outer=2, n_candidates=1)
+        else:
+            report = nested_cv(ds, "no2", n_outer=2, n_candidates=1)
+            assert len(report.folds) == 2
+        assert multiprocessing.active_children() == []
+        assert evaluation._JOB == ()
+
+    @pytest.mark.parametrize("failing, first", [((1, 2, 3), 1), ((3, 2), 2)])
+    def test_first_failing_fold_raises(self, rng, monkeypatch, failing,
+                                       first):
+        ds = grouped_dataset(rng, n_groups=8)
+        splits = nested_cv(ds, "no2", n_outer=4, n_candidates=1).splits
+        held_out = [ds.X[np.isin(ds.group_ids, s["test_groups"]), 0]
+                    for s in splits]
+        real_fit = evaluation.fit_family
+        fitted = []  # the folds fitted in this process
+
+        def fit(family, X, *args):
+            k = next(k for k, v in enumerate(held_out)
+                     if not np.isin(v, X[:, 0]).any())
+            fitted.append(k)
+            if k in failing:
+                raise ValueError(f"fold {k} failed")
+            return real_fit(family, X, *args)
+
+        monkeypatch.setattr(evaluation, "fit_family", fit)
+        # the caller takes folds 0, n, 2n, ... and workers the others
+        for n_cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(evaluation, "_cpu_count", lambda: n_cpus)
+            with pytest.raises(ValueError, match=f"^fold {first} failed$"):
+                nested_cv(ds, "no2", n_outer=4, n_candidates=1)
+            assert multiprocessing.active_children() == []
+            if n_cpus == 1:  # no fold after the first failing one runs
+                assert fitted == list(range(first + 1))
 
     def test_folds_balanced_by_group_count(self, rng):
         ds = grouped_dataset(rng, n_groups=13)

@@ -1,6 +1,7 @@
 """The loss-free descent of ``models.fit_logistic_path`` against the
 loss-computing reference loop in ``logistic_oracle``, and the split-major
-inner search of ``evaluation.nested_cv`` against a candidate-major one."""
+inner search of ``evaluation.nested_cv`` against a candidate-major one, with
+its outer folds run in one process or shared with forked workers."""
 
 import numpy as np
 import pytest
@@ -148,11 +149,12 @@ def reference_scores(family, X, y, aux, candidates, seed, inner_splits):
 
 def texts(ds, report):
     return (report_to_json(report), oof_to_csv(ds, report),
-            pr_points_to_csv(report.pr_points))
+            pr_points_to_csv(report.pr_points), report.splits)
 
 
 @pytest.mark.parametrize("family, base", [
     ("logistic", None), ("logistic", {"lr": 0.3}), ("gbt", {"n_trees": 5}),
+    ("no2", None), ("moran", None), ("moran-high", None),
 ])
 def test_search_equals_candidate_major_reference(monkeypatch, family, base):
     ds = search_dataset(np.random.default_rng(4))
@@ -169,12 +171,17 @@ def test_search_equals_candidate_major_reference(monkeypatch, family, base):
 
     with monkeypatch.context() as m:
         m.setattr(evaluation, "fit_logistic_path", spy)
+        # in the calling process only, where the spy sees every descent
+        m.setattr(evaluation, "_cpu_count", lambda: 1)
         got = texts(ds, nested_cv(ds, family, **kwargs))
     with monkeypatch.context() as m:
         m.setattr(evaluation, "_search_scores", reference_scores)
         m.setattr(evaluation, "fit_family", reference_fit)
         expected = texts(ds, nested_cv(ds, family, **kwargs))
     assert got == expected
+    for n_cpus in (2, 3):  # the folds split between the caller and workers
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: n_cpus)
+        assert texts(ds, nested_cv(ds, family, **kwargs)) == expected
     if family == "logistic":
         # the draws repeat an l2 at different max_iter and repeat a whole
         # candidate, so descents are shared both ways

@@ -252,9 +252,14 @@ class TestCsvFormats:
         for bad, message in (("1,1554120000,nan,20,16,90", "non-finite"),
                              ("1,1554120000,32,20,inf,90", "non-finite"),
                              ("1,1554120000,32,20,16,90,0", "wrong field count"),
+                             ("1,1554120000,32,20,-0.5,90",
+                              "speed_kt must be >= 0"),
                              ("x1,1554120000,32,20,16,90", "invalid literal")):
             with pytest.raises(ValueError, match=f"^AIS CSV line 3: {message}"):
                 parse_ais_csv(text + bad + "\n")
+        # 511 is AIS for "heading not available"
+        parsed = parse_ais_csv(text + "1,1554120000,32,20,0,511\n")
+        assert parsed[1].heading == 511
 
     def test_wind_bad_rows_rejected_with_line(self):
         text = wind_to_csv([WindSample(T0, 31.5, 19.5, 3.25, -1.5)])
