@@ -269,9 +269,9 @@ def cmd_proxy_report(cfg: dict) -> None:
     dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
     preds = _predictions_for_proxy(cfg, dataset)
     table = ev.ship_estimates(dataset, preds)
+    r = ev.proxy_correlation(table)   # raises before any file is written
     write_atomic(cfg["proxy-file"], ev.estimates_to_csv(table))
     n_zero = int(np.sum(table.n_plume_pixels == 0))
-    r = ev.proxy_correlation(table)
     print(f"proxy-report: ships={len(table)} zero_prediction={n_zero} "
           f"pearson_r={r:.4f} out={cfg['proxy-file']}")
 

@@ -10,11 +10,12 @@ benchmark; it is not part of the model feature vector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridImage, _parse_rows, fmt_float
+from .grid import GridImage, _parse_rows, fmt_floats
 from .sector import ShipSector
 from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
 
@@ -206,58 +207,78 @@ def dataset_header(n_levels: int = 5, n_subsectors: int = 5) -> str:
 
 def dataset_to_csv(ds: LabeledDataset) -> str:
     lines = [dataset_header(ds.n_levels, ds.n_subsectors)]
-    # Python floats from tolist() format faster than numpy scalars; one row
-    # at a time keeps the float objects of the whole table out of memory.
-    for gid, r, c, feats, mh, y in zip(ds.group_ids.tolist(), ds.rows.tolist(),
-                                       ds.cols.tolist(), ds.X,
-                                       ds.moran_high.tolist(),
-                                       ds.labels.tolist()):
-        label = "" if y < 0 else str(y)
-        lines.append(f"{gid},{r},{c},{','.join(map(fmt_float, feats.tolist()))},"
-                     f"{fmt_float(mh)},{label}")
+    # Column by column, a block of rows at a time: fmt_floats formats each
+    # distinct value of a column once, and most repeat over a ship's pixels.
+    for start in range(0, len(ds), CSV_BLOCK_ROWS):
+        at = slice(start, start + CSV_BLOCK_ROWS)
+        columns = [ds.group_ids[at].tolist(), map(str, ds.rows[at].tolist()),
+                   map(str, ds.cols[at].tolist()), *map(fmt_floats, ds.X[at].T),
+                   fmt_floats(ds.moran_high[at]),
+                   [_LABEL_TEXT[y] for y in ds.labels[at].tolist()]]
+        lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 _LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
+_LABEL_TEXT = {y: token for token, y in _LABEL_TOKENS.items()}
+CSV_BLOCK_ROWS = 512   # rows dataset_to_csv formats at a time
 
 
 def parse_dataset_csv(text: str) -> LabeledDataset:
     """Parse a dataset CSV; a row with a non-finite feature or moran_high
-    value, a ship length <= 0, a negative ship speed, or a label other than
-    0, 1 or empty, is rejected."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    value, a ship length <= 0, a negative ship speed, a label other than
+    0, 1 or empty, or a (group_id, row, col) key seen before, is rejected."""
+    # per-row values are ints and strs, which the garbage collector ignores
+    lines = text.splitlines()
+    numbers = [k for k, ln in enumerate(lines, 1) if ln.strip()]
+    if not numbers:
         raise ValueError("empty dataset CSV")
-    header = lines[0][1].split(",")
+    header = lines[numbers[0] - 1].split(",")
     n_levels = sum(1 for c in header if c.startswith("level_"))
     n_subsectors = sum(1 for c in header if c.startswith("subsector_"))
     if header != dataset_header(n_levels, n_subsectors).split(","):
         raise ValueError("bad dataset CSV header")
     n_feat = len(FEATURE_BASE) + n_levels + n_subsectors
-    n = len(lines) - 1
-    gids, rows, cols, labels = [], [], [], []
-    values = np.empty((n, n_feat + 1))
-    for i, (k, ln) in enumerate(lines[1:]):
-        p = ln.split(",")
+    values = np.empty((len(numbers) - 1, n_feat + 1))
+    # The run of fields wind_speed .. last sub-sector repeats over a ship's
+    # pixels: each distinct run is checked and parsed once, then copied.
+    first: dict[str, int] = {}   # run -> the row it was parsed into
+    source, gids, rows, cols, labels, keys = [], [], [], [], [], set()
+    for i, k in enumerate(numbers[1:]):
+        p = lines[k - 1].split(",", 5)
+        run, *tail = p[-1].rsplit(",", 2)
         try:
-            if len(p) != n_feat + 5:
+            if (len(p) != 6 or len(tail) != 2
+                    or run not in first and run.count(",") != n_feat - 3):
                 raise ValueError("wrong field count")
-            rows.append(int(p[1]))
-            cols.append(int(p[2]))
-            values[i] = [float(t) for t in p[3:4 + n_feat]]
-            if p[-1] not in _LABEL_TOKENS:
-                raise ValueError(f"bad label {p[-1]!r}")
+            row, col = int(p[1]), int(p[2])
+            values[i, 0] = float(p[3])
+            values[i, 1] = float(p[4])
+            if run not in first:
+                values[i, 2:n_feat] = [float(t) for t in run.split(",")]
+                first[run] = i
+            values[i, n_feat] = float(tail[0])
+            if tail[1] not in _LABEL_TOKENS:
+                raise ValueError(f"bad label {tail[1]!r}")
+            key = f"{p[0]},{row},{col}"
+            if key in keys:
+                raise ValueError(f"duplicate key {','.join(p[:3])}")
         except ValueError as exc:
             raise ValueError(f"dataset CSV line {k}: {exc}") from None
-        gids.append(p[0])
-        labels.append(_LABEL_TOKENS[p[-1]])
+        keys.add(key)
+        gids.append(sys.intern(p[0]))
+        rows.append(row)
+        cols.append(col)
+        labels.append(_LABEL_TOKENS[tail[1]])
+        source.append(first[run])
+    values[:, 2:n_feat] = values[source, 2:n_feat]
     length = values[:, FEATURE_BASE.index("ship_length")]
     speed = values[:, FEATURE_BASE.index("ship_speed")]
     for bad, message in ((~np.isfinite(values).all(axis=1), "non-finite value"),
                          (length <= 0, "ship_length must be > 0"),
                          (speed < 0, "ship_speed must be >= 0")):
         if bad.any():
-            k = lines[int(np.argmax(bad)) + 1][0]
+            k = numbers[int(np.argmax(bad)) + 1]
             raise ValueError(f"dataset CSV line {k}: {message}")
     return LabeledDataset(group_ids=np.array(gids, dtype=str),
                           rows=np.array(rows, dtype=int),

@@ -20,6 +20,15 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def fmt_floats(a: np.ndarray) -> list[str]:
+    """fmt_float (the repr of a Python float) of every entry of a 1-D float
+    array, once per distinct bit pattern: bits keep -0.0 apart from 0.0."""
+    bits, at = np.unique(np.asarray(a, dtype=float).view(np.int64),
+                         return_inverse=True)
+    return np.array([repr(x) for x in bits.view(float).tolist()],
+                    dtype=object)[at].tolist()
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular grid; cell (r, c) covers

@@ -339,6 +339,42 @@ class TestBadInputs:
         assert err.strip().splitlines() == [
             "error: dataset CSV line 2: " + message]
 
+    @pytest.mark.parametrize("command", ["evaluate", "proxy-report"])
+    def test_repeated_dataset_key_exits_1(self, tmp_path, capsys, command):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        header, first, second = dataset.read_text().splitlines()
+        dataset.write_text("\n".join([header, first, second, first]) + "\n")
+        assert run([command, "--dataset-file", dataset, "--model", "no2",
+                    "--use-labels", "1",
+                    "--report-file", tmp_path / "report.json",
+                    "--pr-file", tmp_path / "pr.csv",
+                    "--oof-file", tmp_path / "oof.csv",
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: dataset CSV line 4: duplicate key 111_2019-04-01,0,0"]
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
+
+    @pytest.mark.parametrize("no2, message", [
+        (None, "insufficient ships"), ("2.0", "zero variance"),
+    ], ids=["insufficient_ships", "zero_variance"])
+    def test_failed_proxy_report_writes_no_file(self, tmp_path, capsys, no2,
+                                                message):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        oof = tmp_path / "oof.csv"
+        pred = "0"
+        if no2 is not None:   # both ship-days predicted, with equal NO2
+            dataset.write_text(dataset.read_text().replace(",5.0,", f",{no2},"))
+            pred = "1"
+        oof.write_text("group_id,row,col,score,pred,label\n"
+                       f"111_2019-04-01,0,0,0.5,{pred},1\n"
+                       f"111_2019-04-02,0,0,0.5,{pred},1\n")
+        assert run(["proxy-report", "--dataset-file", dataset,
+                    "--predictions", oof,
+                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: " + message]
+        assert not (tmp_path / "proxy.csv").exists()
+
     @pytest.mark.parametrize("row, message", [
         ("0,scene_000", "line 3: wrong field count"),
         ("0.5,scene_000,1554120000.0", "line 3: invalid literal for int()"),
