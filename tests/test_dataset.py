@@ -186,32 +186,28 @@ class TestCsvFormats:
         assert parse_labels_csv(text) == table
         assert labels_to_csv(parse_labels_csv(text)) == text
 
-    # fields: group_id,row,col, 17 features (3-19), moran_high (20), label;
-    # ship_speed is field 8 and ship_length field 9; line 2 holds pixel
-    # (0, 1) and line 3 pixel (1, 1)
-    @pytest.mark.parametrize("field, token, message", [
-        (3, "nan", "non-finite"), (4, "inf", "non-finite"),
-        (20, "-inf", "non-finite"), (21, "2", "bad label"),
-        (21, "-1", "bad label"), (21, "x", "bad label"),
-        (9, "0.0", "ship_length must be > 0"),
-        (9, "-5.0", "ship_length must be > 0"),
-        (8, "-0.5", "ship_speed must be >= 0"),
-        (1, "0", "duplicate key 1_2019-04-01,0,1$"),
-        (1, "00", "duplicate key 1_2019-04-01,00,1$"),
-    ], ids=["moran_nan", "no2_inf", "moran_high_neg_inf", "label_2",
-            "label_minus_1", "label_x", "length_zero", "length_negative",
-            "speed_negative", "repeated_key", "repeated_key_other_spelling"])
-    def test_dataset_bad_values_rejected_with_line(self, field, token,
-                                                   message):
+    def test_dataset_bad_values_rejected_with_line(self):
         text = dataset_to_csv(assemble([tiny_ship_image(n=3)],
                                        labels={("1_2019-04-01", 0, 1): 1}))
         lines = text.splitlines()
-        parts = lines[2].split(",")
-        parts[field] = token
-        bad = "\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n"
-        with pytest.raises(ValueError,
-                           match=f"^dataset CSV line 3: {message}"):
-            parse_dataset_csv(bad)
+        # fields: group_id,row,col, 17 features (3-19), moran_high (20), label;
+        # ship_speed is field 8 and ship_length field 9; line 2 holds pixel
+        # (0, 1) and line 3 pixel (1, 1)
+        for field, token, message in (
+                (3, "nan", "non-finite"), (4, "inf", "non-finite"),
+                (20, "-inf", "non-finite"), (21, "2", "bad label"),
+                (21, "-1", "bad label"), (21, "x", "bad label"),
+                (9, "0.0", "ship_length must be > 0"),
+                (9, "-5.0", "ship_length must be > 0"),
+                (8, "-0.5", "ship_speed must be >= 0"),
+                (1, "0", "duplicate key 1_2019-04-01,0,1$"),
+                (1, "00", "duplicate key 1_2019-04-01,00,1$")):
+            parts = lines[2].split(",")
+            parts[field] = token
+            bad = "\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n"
+            with pytest.raises(ValueError,
+                               match=f"^dataset CSV line 3: {message}"):
+                parse_dataset_csv(bad)
 
     def test_zero_ship_speed_accepted(self):
         text = dataset_to_csv(assemble([tiny_ship_image(n=2)], labels=None))
