@@ -8,9 +8,8 @@ fold, in both the outer evaluation loop and the inner selection loop.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .grid import _finite, fmt_float
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, check_params, fit_family,
                      fit_logistic_path, predict_labels, predict_scores,
                      sample_params)
+from .parallel import fork_map
 
 
 @dataclass(frozen=True)
@@ -188,21 +188,10 @@ def _search_scores(family: str, X, y, aux, candidates: list[dict], seed,
     return [float(np.mean(s)) if s else -1.0 for s in aps]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where that call or fork is missing."""
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-# The arguments of the running nested_cv, which forked workers read unpickled
-_JOB: tuple = ()
-
-
-def _outer_fold(k: int) -> tuple[FoldResult, tuple, list[dict]]:
-    """Outer fold k of the running nested_cv: its result, its (test rows,
-    scores, predictions) and its split records."""
-    family, X, y, aux, table, outer, n_inner, n_candidates, seed, base = _JOB
+def _outer_fold(job: tuple, k: int) -> tuple[FoldResult, tuple, list[dict]]:
+    """Outer fold k of the nested_cv with the given arguments: its result,
+    its (test rows, scores, predictions) and its split records."""
+    family, X, y, aux, table, outer, n_inner, n_candidates, seed, base = job
     train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
     tr = _rows_of(train_groups, table)
     te = _rows_of(outer[k], table)
@@ -235,13 +224,6 @@ def _outer_fold(k: int) -> tuple[FoldResult, tuple, list[dict]]:
     return FoldResult(fold=k, params=params, metrics=m), (te, s, p), splits
 
 
-def _fold_or_error(k: int):
-    try:
-        return _outer_fold(k)
-    except ValueError as exc:  # nested_cv raises it in fold order
-        return exc
-
-
 def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
               n_inner: int = 5, n_candidates: int = 10, seed: int = 0,
               base_params: dict | None = None) -> CVReport:
@@ -253,10 +235,9 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     threshold baselines (no search space), the inner loop is skipped and the
     evaluation is plain group k-fold CV.
 
-    The outer folds run on the CPUs this process may use, in forked workers
-    and the caller, with the results and first error of a one-CPU run.
+    The outer folds run through parallel.fork_map, but for the threshold
+    baselines, whose fits cost less than a fork, all in the caller.
     """
-    global _JOB
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown model family: {family}")
     if n_outer < 2 or n_inner < 2:
@@ -275,30 +256,11 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
             and len(uniq) - max(map(len, outer)) < n_inner):
         raise ValueError("group count < fold count")
 
-    n = min(_cpu_count(), n_outer)
-    _JOB = (family, ds.X, y, ds.moran_high, table, outer, n_inner,
-            n_candidates, seed, base_params)
-    results: list = [None] * n_outer
-    pool = None
-    try:
-        if n > 1:
-            pool = multiprocessing.get_context("fork").Pool(n - 1)
-        theirs = [k for k in range(n_outer) if k % n]
-        pending = pool and pool.map_async(_fold_or_error, theirs)
-        for k in range(0, n_outer, n):
-            results[k] = _fold_or_error(k)
-            if isinstance(results[k], ValueError):
-                break
-        for k, result in zip(theirs, pending.get() if pool else []):
-            results[k] = result
-    finally:
-        _JOB = ()
-        if pool:
-            pool.terminate()
-            pool.join()
-    for result in results:  # a fold the caller skipped follows an error
-        if isinstance(result, ValueError):
-            raise result
+    fold = partial(_outer_fold, (family, ds.X, y, ds.moran_high, table,
+                                 outer, n_inner, n_candidates, seed,
+                                 base_params))
+    results = (fork_map(fold, n_outer) if family in DEFAULT_SPACES
+               else [fold(k) for k in range(n_outer)])
     folds, pooled, splits = zip(*results)
 
     summary = {}

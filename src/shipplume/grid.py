@@ -179,13 +179,15 @@ def _check_rules(kind: str, values: dict, rules: dict) -> None:
 def _parse_rows(text: str, header: str, kind: str, convert) -> list:
     """convert(fields) for every data line of a CSV with the given header;
     any error names the file kind and the line number."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1] != header:
+    # line numbers, not (number, line) tuples the garbage collector tracks
+    lines = text.splitlines()
+    numbers = [k for k, ln in enumerate(lines, 1) if ln.strip()]
+    if not numbers or lines[numbers[0] - 1] != header:
         raise ValueError(f"bad {kind} CSV header")
     n_fields = header.count(",") + 1
     out = []
-    for k, ln in lines[1:]:
-        fields = ln.split(",")
+    for k in numbers[1:]:
+        fields = lines[k - 1].split(",")
         try:
             if len(fields) != n_fields:
                 raise ValueError("wrong field count")
@@ -247,9 +249,8 @@ def parse_grid_csv(text: str) -> GridImage:
 
 
 def samples_to_csv(samples: np.ndarray) -> str:
-    lines = [SAMPLES_HEADER]
-    lines += [",".join(map(fmt_float, s)) for s in samples.tolist()]
-    return "\n".join(lines) + "\n"
+    columns = [fmt_floats(samples[name]) for name in samples.dtype.names]
+    return "\n".join([SAMPLES_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _sample(fields: list[str]) -> tuple[float, ...]:

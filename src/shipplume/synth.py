@@ -26,6 +26,7 @@ from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
                    _finite_number, fmt_float, grid_to_csv, samples_to_csv)
+from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        build_ship_images, read_scene_dir)
 from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, WindSample,
@@ -313,19 +314,20 @@ def generate_corpus(out_dir: str | Path, n_scenes: int,
                     scene_kwargs: dict | None = None, seed: int = 0,
                     start_epoch: float = 1554120000.0) -> tuple[Path, int]:
     """Write a batch of scenes plus a manifest; returns (manifest path,
-    total ships). Scene s gets seed seed*100000 + s and its own date."""
+    total ships). Scene s gets seed seed*100000 + s and its own date. The
+    scenes are written through parallel.fork_map, the manifest last."""
     out_dir = Path(out_dir)
-    lines = [MANIFEST_HEADER]
-    total_ships = 0
-    for s in range(n_scenes):
-        kwargs = dict(scene_kwargs or {})
-        t0 = start_epoch + s * 86400.0
-        config = SceneConfig(seed=seed * 100000 + s, t_overpass=t0,
-                             mmsi_base=200000001 + 100 * s, **kwargs)
-        scene = generate_scene(config)
+    epochs = [start_epoch + s * 86400.0 for s in range(n_scenes)]
+
+    def write_scene(s: int) -> int:
+        scene = generate_scene(SceneConfig(
+            seed=seed * 100000 + s, t_overpass=epochs[s],
+            mmsi_base=200000001 + 100 * s, **(scene_kwargs or {})))
         scene_to_inputs(scene, out_dir / f"scene_{s:03d}", params)
-        total_ships += len(scene.ships)
-        lines.append(f"{s},scene_{s:03d},{fmt_float(t0)}")
-    manifest = out_dir / MANIFEST_NAME
-    write_atomic(manifest, "\n".join(lines) + "\n")
-    return manifest, total_ships
+        return len(scene.ships)
+
+    total_ships = sum(fork_map(write_scene, n_scenes))
+    lines = [MANIFEST_HEADER] + [f"{s},scene_{s:03d},{fmt_float(t0)}"
+                                 for s, t0 in enumerate(epochs)]
+    write_atomic(out_dir / MANIFEST_NAME, "\n".join(lines) + "\n")
+    return out_dir / MANIFEST_NAME, total_ships

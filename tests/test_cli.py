@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from shipplume import evaluation
+from shipplume import evaluation, parallel
 from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header, dataset_to_csv
 from shipplume.fileio import write_atomic
@@ -475,10 +475,12 @@ class TestBadInputs:
                 raise ValueError("divergence (try a smaller lr)")
             return real_fit(*args)
 
-        # the caller runs outer fold 0, a forked worker fold 1
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        # the caller runs outer fold 0, a forked worker fold 1 (the
+        # threshold families fork no worker)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
         monkeypatch.setattr(evaluation, "fit_family", fit)
-        assert run_on_8_groups(tmp_path, "evaluate", "no2", []) == 1
+        assert run_on_8_groups(tmp_path, "evaluate", "logistic",
+                               ["--n-candidates", "1"]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: divergence (try a smaller lr)"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from shipplume import evaluation
+from shipplume import evaluation, parallel
 from shipplume.dataset import FEATURE_BASE
 from shipplume.evaluation import (ShipTable, average_precision,
                                   estimates_to_csv, nested_cv, pearson,
@@ -207,6 +207,25 @@ class TestNestedCv:
         nested_cv(ds, "logistic", n_outer=2, n_inner=5, n_candidates=1,
                   base_params={"max_iter": 20})
 
+    def test_only_searchable_families_fork(self, rng, monkeypatch):
+        ds = grouped_dataset(rng, n_groups=6)
+        thresholds = ("no2", "moran", "moran-high")
+        expected = {f: report_to_json(nested_cv(ds, f, n_outer=3,
+                                                n_candidates=1))
+                    for f in thresholds}
+
+        def no_fork(method):
+            raise AssertionError(f"{method} pool started")
+
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel.multiprocessing, "get_context", no_fork)
+        for family in thresholds:
+            report = nested_cv(ds, family, n_outer=3, n_candidates=1)
+            assert report_to_json(report) == expected[family]
+        with pytest.raises(AssertionError, match="^fork pool started$"):
+            nested_cv(ds, "logistic", n_outer=3, n_candidates=1,
+                      base_params={"max_iter": 20})
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_workers_joined_and_child_error_raised(self, rng, monkeypatch,
                                                    fails):
@@ -219,17 +238,19 @@ class TestNestedCv:
                 raise ValueError("fit failed in a worker")
             return real_fit(*args)
 
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
         monkeypatch.setattr(evaluation, "fit_family", fit)
-        # the caller fits fold 0, the one worker fold 1
+        # the caller fits fold 0, the one worker fold 1 (the threshold
+        # families fork no worker)
+        kwargs = dict(n_outer=2, n_candidates=1, base_params={"max_iter": 20})
         if fails:
             with pytest.raises(ValueError, match="^fit failed in a worker$"):
-                nested_cv(ds, "no2", n_outer=2, n_candidates=1)
+                nested_cv(ds, "logistic", **kwargs)
         else:
-            report = nested_cv(ds, "no2", n_outer=2, n_candidates=1)
+            report = nested_cv(ds, "logistic", **kwargs)
             assert len(report.folds) == 2
         assert multiprocessing.active_children() == []
-        assert evaluation._JOB == ()
+        assert parallel._TASK is None
 
     @pytest.mark.parametrize("failing, first", [((1, 2, 3), 1), ((3, 2), 2)])
     def test_first_failing_fold_raises(self, rng, monkeypatch, failing,
@@ -252,9 +273,10 @@ class TestNestedCv:
         monkeypatch.setattr(evaluation, "fit_family", fit)
         # the caller takes folds 0, n, 2n, ... and workers the others
         for n_cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(evaluation, "_cpu_count", lambda: n_cpus)
+            monkeypatch.setattr(parallel, "_cpu_count", lambda: n_cpus)
             with pytest.raises(ValueError, match=f"^fold {first} failed$"):
-                nested_cv(ds, "no2", n_outer=4, n_candidates=1)
+                nested_cv(ds, "logistic", n_outer=4, n_candidates=1,
+                          base_params={"max_iter": 20})
             assert multiprocessing.active_children() == []
             if n_cpus == 1:  # no fold after the first failing one runs
                 assert fitted == list(range(first + 1))

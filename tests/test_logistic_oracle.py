@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import logistic_oracle as oracle
-from shipplume import evaluation, models
+from shipplume import evaluation, models, parallel
 from shipplume.evaluation import (average_precision, nested_cv, oof_to_csv,
                                   pr_points_to_csv, report_to_json)
 from shipplume.models import fit_logistic_path
@@ -172,7 +172,7 @@ def test_search_equals_candidate_major_reference(monkeypatch, family, base):
     with monkeypatch.context() as m:
         m.setattr(evaluation, "fit_logistic_path", spy)
         # in the calling process only, where the spy sees every descent
-        m.setattr(evaluation, "_cpu_count", lambda: 1)
+        m.setattr(parallel, "_cpu_count", lambda: 1)
         got = texts(ds, nested_cv(ds, family, **kwargs))
     with monkeypatch.context() as m:
         m.setattr(evaluation, "_search_scores", reference_scores)
@@ -180,7 +180,7 @@ def test_search_equals_candidate_major_reference(monkeypatch, family, base):
         expected = texts(ds, nested_cv(ds, family, **kwargs))
     assert got == expected
     for n_cpus in (2, 3):  # the folds split between the caller and workers
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: n_cpus)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: n_cpus)
         assert texts(ds, nested_cv(ds, family, **kwargs)) == expected
     if family == "logistic":
         # the draws repeat an l2 at different max_iter and repeat a whole
