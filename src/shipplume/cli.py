@@ -218,7 +218,7 @@ def cmd_enhance(cfg: dict) -> None:
 def cmd_features(cfg: dict) -> None:
     manifest = Path(cfg["scenes-dir"]) / "scenes.csv"
     dataset, counts = build_dataset_from_scenes(manifest, pipeline_params(cfg))
-    write_atomic(cfg["dataset-file"], ds_mod.dataset_to_csv(dataset))
+    ds_mod.write_dataset(cfg["dataset-file"], dataset, write_atomic)
     neg, pos = dataset.class_counts
     skips = sum(n for reason, n in counts.items() if reason != "ships")
     print(f"features: ships={counts.get('ships', 0)} skipped={skips} "
@@ -229,7 +229,7 @@ def cmd_features(cfg: dict) -> None:
 
 
 def cmd_train(cfg: dict) -> None:
-    dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
+    dataset = ds_mod.read_dataset(cfg["dataset-file"])
     family = cfg["model"]
     model = md.fit_family(family, dataset.X, dataset.require_labels(),
                           dataset.moran_high, base_params(cfg),
@@ -240,7 +240,7 @@ def cmd_train(cfg: dict) -> None:
 
 
 def cmd_evaluate(cfg: dict) -> None:
-    dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
+    dataset = ds_mod.read_dataset(cfg["dataset-file"])
     report = ev.nested_cv(dataset, cfg["model"], n_outer=cfg["outer-folds"],
                           n_inner=cfg["inner-folds"],
                           n_candidates=cfg["n-candidates"], seed=cfg["seed"],
@@ -266,7 +266,7 @@ def _predictions_for_proxy(cfg: dict, dataset) -> np.ndarray:
 
 
 def cmd_proxy_report(cfg: dict) -> None:
-    dataset = ds_mod.parse_dataset_csv(Path(cfg["dataset-file"]).read_text())
+    dataset = ds_mod.read_dataset(cfg["dataset-file"])
     preds = _predictions_for_proxy(cfg, dataset)
     table = ev.ship_estimates(dataset, preds)
     r = ev.proxy_correlation(table)   # raises before any file is written

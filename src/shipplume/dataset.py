@@ -9,9 +9,12 @@ benchmark; it is not part of the model feature vector.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -216,7 +219,7 @@ def dataset_to_csv(ds: LabeledDataset) -> str:
                    fmt_floats(ds.moran_high[at]),
                    [_LABEL_TEXT[y] for y in ds.labels[at].tolist()]]
         lines += map(",".join, zip(*columns))
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])   # one copy of the text, not two
 
 
 _LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
@@ -286,3 +289,41 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
                           moran_high=values[:, n_feat],
                           labels=np.array(labels, dtype=int),
                           n_levels=n_levels, n_subsectors=n_subsectors)
+
+
+def write_dataset(path: str | Path, ds: LabeledDataset, write) -> None:
+    """Write the CSV, then its sidecar <path>.npz, each by write(path, data):
+    the CSV's sha256 and the arrays it parses to (ds must parse back)."""
+    text = dataset_to_csv(ds)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    write(path, text)
+    del text   # the sidecar is streamed to its file without the text held
+    write(f"{path}.npz", lambda fh: np.savez(
+        fh, digest=digest, group_ids=np.array(ds.group_ids.tolist(), dtype=str),
+        rows=ds.rows, cols=ds.cols, labels=ds.labels, n_levels=ds.n_levels,
+        n_subsectors=ds.n_subsectors,
+        values=np.column_stack([ds.X, ds.moran_high])))
+
+
+def read_dataset(path: str | Path) -> LabeledDataset:
+    """The sidecar's arrays if they hold the digest of the CSV file and the
+    dtypes and shapes parse_dataset_csv returns, else the file's parse."""
+    data = Path(path).read_bytes()
+    with suppress(Exception):   # any failure is a miss: the parse is right
+        with open(f"{path}.npz", "rb") as fh:   # closed also if np.load fails
+            a = dict(np.load(fh, allow_pickle=False))
+        n, values = len(a["rows"]), a["values"].copy()   # X.base 2-D
+        n_feat = len(FEATURE_BASE) + a["n_levels"] + a["n_subsectors"]
+        want = {"group_ids": (f"U{a['group_ids'].itemsize // 4}", (n,)),
+                "rows": (int, (n,)), "cols": (int, (n,)), "labels": (int, (n,)),
+                "values": (float, (n, n_feat + 1)), "n_levels": (int, ()),
+                "n_subsectors": (int, ())}
+        if (a["digest"].item() == hashlib.sha256(data).hexdigest()
+                and all(a[k].dtype == dtype and a[k].shape == shape
+                        for k, (dtype, shape) in want.items())):
+            return LabeledDataset(
+                group_ids=a["group_ids"], rows=a["rows"], cols=a["cols"],
+                X=values[:, :n_feat], moran_high=values[:, n_feat],
+                labels=a["labels"], n_levels=a["n_levels"].item(),
+                n_subsectors=a["n_subsectors"].item())
+    return parse_dataset_csv(Path(path).read_text())

@@ -325,7 +325,7 @@ def pr_points_to_csv(points: list[tuple[float, float, float]]) -> str:
     lines = ["threshold,precision,recall"]
     for t, p, r in points:
         lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(r)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def estimates_to_csv(table: ShipTable) -> str:
@@ -348,7 +348,7 @@ def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
                                   report.oof_pred.tolist(),
                                   ds.labels[i].tolist()):
         lines.append(f"{gid},{r},{c},{fmt_float(s)},{p},{y}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:

@@ -230,14 +230,15 @@ def parse_grid_csv(text: str) -> GridImage:
             except ValueError as exc:
                 raise ValueError(f"grid-csv line {k}: {exc}") from None
             row_lines.append(k)
-    try:
-        spec = GridSpec(lat_min=float(header["lat_min"]),
-                        lon_min=float(header["lon_min"]),
-                        cell_size=float(header["cell_size"]),
-                        n_rows=int(header["n_rows"]),
-                        n_cols=int(header["n_cols"]))
-    except KeyError as exc:
-        raise ValueError(f"grid-csv header missing #{exc.args[0]}=") from None
+    fields = {}
+    for key in ("lat_min", "lon_min", "cell_size", "n_rows", "n_cols"):
+        if key not in header:
+            raise ValueError(f"grid-csv header missing #{key}=")
+        try:   # the counts are ints, the rest floats
+            fields[key] = (int if key.startswith("n_") else float)(header[key])
+        except ValueError as exc:
+            raise ValueError(f"grid-csv header #{key}=: {exc}") from None
+    spec = GridSpec(**fields)
     if len(rows) != spec.n_rows or any(len(r) != spec.n_cols for r in rows):
         raise ValueError("grid-csv body does not match declared shape")
     values = np.array(rows, dtype=float)

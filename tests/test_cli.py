@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,22 +503,40 @@ class TestBadInputs:
             "error: " + message]
         assert not dataset.exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("lat_min", "nan"), ("lon_min", "-inf"), ("cell_size", "inf"),
-    ])
+    @pytest.mark.parametrize("key, value, message", [
+        ("lat_min", "nan", "lat_min must be finite"),
+        ("lon_min", "-inf", "lon_min must be finite"),
+        ("cell_size", "inf", "cell_size must be finite"),
+        ("n_rows", "abc", "grid-csv header #n_rows=: invalid literal for "
+         "int() with base 10: 'abc'"),
+        ("n_rows", "3.5", "grid-csv header #n_rows=: invalid literal for "
+         "int() with base 10: '3.5'"),
+        ("cell_size", "abc", "grid-csv header #cell_size=: could not "
+         "convert string to float: 'abc'"),
+    ], ids=["lat_min-nan", "lon_min--inf", "cell_size-inf", "n_rows-abc",
+            "n_rows-3.5", "cell_size-abc"])
     def test_nonfinite_grid_header_exits_1(self, tmp_path, capsys, key,
-                                           value):
+                                           value, message):
         header = {"lat_min": "31.5", "lon_min": "19.5", "cell_size": "0.045",
                   "n_rows": "2", "n_cols": "2"}
         header[key] = value
-        grid = tmp_path / "grid.csv"
+        # the grid of enhance, and of the one scene of a features corpus,
+        # which is read before any other file of the scene
+        grid = tmp_path / "scene_0" / "grid.csv"
+        grid.parent.mkdir()
         grid.write_text("".join(f"#{k}={v}\n" for k, v in header.items())
                         + "1.0,2.0\n3.0,4.0\n")
+        (tmp_path / "scenes.csv").write_text(
+            "scene,dir,t_overpass\n0,scene_0,1554120000.0\n")
         out = tmp_path / "out.csv"
+        dataset = tmp_path / "dataset.csv"
         assert run(["enhance", "--grid-in", grid, "--grid-out", out]) == 1
+        assert run(["features", "--scenes-dir", tmp_path,
+                    "--dataset-file", dataset]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {key} must be finite"]
+            f"error: {message}"] * 2
         assert not out.exists()
+        assert not dataset.exists()
 
     def test_same_day_revisit_exits_1(self, tmp_path, capsys):
         # scene 1 is 100 min after scene 0 and shows the same ships
@@ -549,6 +568,19 @@ class TestWriteAtomic:
         write_atomic(target, "one")
         write_atomic(target, "two")
         assert target.read_text() == "two"
+
+    def test_binary_writer_gets_the_temp_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        seen = []
+
+        def write(fh):
+            seen.append(Path(fh.name).name)
+            fh.write(b"\x00\xff")
+
+        write_atomic(target, write)
+        assert target.read_bytes() == b"\x00\xff"
+        assert seen == ["out.bin.tmp"]
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestPipelineCommands:

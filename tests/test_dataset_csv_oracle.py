@@ -1,6 +1,8 @@
 """The dataset CSV codec against its row-at-a-time reference: the same text
 out, the same arrays or the same error back, on generated and mutated files."""
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 import dataset_csv_oracle as oracle
 from shipplume import dataset
 from shipplume.dataset import (FEATURE_BASE, LabeledDataset,
-                               dataset_to_csv, parse_dataset_csv)
+                               dataset_to_csv, parse_dataset_csv, read_dataset,
+                               write_dataset)
+from shipplume.fileio import write_atomic
 from shipplume.grid import fmt_float, fmt_floats
 
 from conftest import columns_dataset
@@ -115,20 +119,27 @@ def mutations(draw, n_fields):
     return lambda p: p[:at] + [token] + p[at + 1:]
 
 
+def make_parseable(ds, finite):
+    """Make every ship length > 0 and speed >= 0 in place and, if finite,
+    replace each non-finite value with 0.5."""
+    length, speed = (FEATURE_BASE.index(name)
+                     for name in ("ship_length", "ship_speed"))
+    with np.errstate(invalid="ignore"):   # NaNs stay NaN
+        ds.X[:, length] = np.abs(ds.X[:, length]) + 1.0
+    ds.X[:, speed] = np.abs(ds.X[:, speed])
+    if finite:
+        ds.X[~np.isfinite(ds.X)] = 0.5
+        ds.moran_high[~np.isfinite(ds.moran_high)] = 0.5
+
+
 @st.composite
 def mutated_files(draw):
     """The text of a generated dataset with up to two defects, the second
     on the same line as the first or further down. The first lands on the
     first row of a ship's run of per-ship values as often as on any row."""
     ds = draw(datasets())
-    length, speed = (FEATURE_BASE.index(name)
-                     for name in ("ship_length", "ship_speed"))
-    with np.errstate(invalid="ignore"):   # NaNs stay NaN
-        ds.X[:, length] = np.abs(ds.X[:, length]) + 1.0
-    ds.X[:, speed] = np.abs(ds.X[:, speed])
-    if draw(st.booleans()):   # finite, so that other defects get reported
-        ds.X[~np.isfinite(ds.X)] = 0.5
-        ds.moran_high[~np.isfinite(ds.moran_high)] = 0.5
+    # finite or not: when finite, other defects get reported
+    make_parseable(ds, finite=draw(st.booleans()))
     lines = oracle.dataset_to_csv(ds).splitlines()
     n_fields = lines[0].count(",") + 1
     if draw(st.booleans()):
@@ -160,3 +171,21 @@ def outcome(parse, text):
 def test_parser_equals_oracle_on_mutated_files(text):
     assert outcome(parse_dataset_csv, text) == outcome(
         oracle.parse_dataset_csv, text)
+
+
+@given(datasets())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sidecar_equals_parser_on_generated_datasets(ds):
+    """read_dataset, from the sidecar write_dataset writes, returns what
+    parse_dataset_csv returns for the CSV, without parsing, on generated
+    datasets the parser accepts; group ids are held wider than they need."""
+    make_parseable(ds, finite=True)
+    ds.group_ids = ds.group_ids.astype("U40")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        write_dataset(path, ds, write_atomic)
+        parsed = parse_dataset_csv(path.read_text())
+        with mock.patch.object(dataset, "parse_dataset_csv") as spy:
+            loaded = read_dataset(path)
+    assert spy.call_count == 0
+    assert outcome(lambda _: loaded, None) == outcome(lambda _: parsed, None)
