@@ -22,7 +22,7 @@ from .enhance import moran_enhance, moran_on_high
 from .fileio import write_atomic
 from .grid import GridSpec, grid_to_csv, parse_grid_csv, parse_samples_csv, quality_filter, regrid
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
-                       build_ship_images, read_manifest, read_scene_dir)
+                       read_manifest, scene_images)
 from .sector import sectors_to_geojson
 
 _GBT, _LOGISTIC = md.DEFAULT_GBT_PARAMS, md.DEFAULT_LOGISTIC_PARAMS
@@ -193,9 +193,7 @@ def cmd_sectors(cfg: dict) -> None:
     refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
     sectors = []
     for ref in refs:
-        image, records, wind, registry, _ = read_scene_dir(ref.path)
-        images, _ = build_ship_images(image, records, wind, registry,
-                                      ref.t_overpass, params)
+        images, _, _ = scene_images(ref.path, ref.t_overpass, params)
         sectors += [im.sector for im in images]
     write_atomic(cfg["sectors-file"], sectors_to_geojson(sectors))
     print(f"sectors: scenes={len(refs)} sectors={len(sectors)} "

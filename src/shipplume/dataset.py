@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,57 +230,42 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
     """Parse a dataset CSV; a row with a non-finite feature or moran_high
     value, a ship length <= 0, a negative ship speed, a label other than
     0, 1 or empty, or a (group_id, row, col) key seen before, is rejected."""
-    # per-row values are ints and strs, which the garbage collector ignores
-    lines = text.splitlines()
-    numbers = [k for k, ln in enumerate(lines, 1) if ln.strip()]
-    if not numbers:
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
         raise ValueError("empty dataset CSV")
-    header = lines[numbers[0] - 1].split(",")
+    header = lines[0][1].split(",")
     n_levels = sum(1 for c in header if c.startswith("level_"))
     n_subsectors = sum(1 for c in header if c.startswith("subsector_"))
     if header != dataset_header(n_levels, n_subsectors).split(","):
         raise ValueError("bad dataset CSV header")
     n_feat = len(FEATURE_BASE) + n_levels + n_subsectors
-    values = np.empty((len(numbers) - 1, n_feat + 1))
-    # The run of fields wind_speed .. last sub-sector repeats over a ship's
-    # pixels: each distinct run is checked and parsed once, then copied.
-    first: dict[str, int] = {}   # run -> the row it was parsed into
-    source, gids, rows, cols, labels, keys = [], [], [], [], [], set()
-    for i, k in enumerate(numbers[1:]):
-        p = lines[k - 1].split(",", 5)
-        run, *tail = p[-1].rsplit(",", 2)
+    values = np.empty((len(lines) - 1, n_feat + 1))
+    gids, rows, cols, labels, keys = [], [], [], [], set()
+    for i, (k, ln) in enumerate(lines[1:]):
+        p = ln.split(",")
         try:
-            if (len(p) != 6 or len(tail) != 2
-                    or run not in first and run.count(",") != n_feat - 3):
+            if len(p) != n_feat + 5:
                 raise ValueError("wrong field count")
-            row, col = int(p[1]), int(p[2])
-            values[i, 0] = float(p[3])
-            values[i, 1] = float(p[4])
-            if run not in first:
-                values[i, 2:n_feat] = [float(t) for t in run.split(",")]
-                first[run] = i
-            values[i, n_feat] = float(tail[0])
-            if tail[1] not in _LABEL_TOKENS:
-                raise ValueError(f"bad label {tail[1]!r}")
-            key = f"{p[0]},{row},{col}"
+            key = (p[0], int(p[1]), int(p[2]))
+            values[i] = [float(t) for t in p[3:4 + n_feat]]
+            if p[-1] not in _LABEL_TOKENS:
+                raise ValueError(f"bad label {p[-1]!r}")
             if key in keys:
                 raise ValueError(f"duplicate key {','.join(p[:3])}")
         except ValueError as exc:
             raise ValueError(f"dataset CSV line {k}: {exc}") from None
         keys.add(key)
-        gids.append(sys.intern(p[0]))
-        rows.append(row)
-        cols.append(col)
-        labels.append(_LABEL_TOKENS[tail[1]])
-        source.append(first[run])
-    values[:, 2:n_feat] = values[source, 2:n_feat]
+        gids.append(p[0])
+        rows.append(key[1])
+        cols.append(key[2])
+        labels.append(_LABEL_TOKENS[p[-1]])
     length = values[:, FEATURE_BASE.index("ship_length")]
     speed = values[:, FEATURE_BASE.index("ship_speed")]
     for bad, message in ((~np.isfinite(values).all(axis=1), "non-finite value"),
                          (length <= 0, "ship_length must be > 0"),
                          (speed < 0, "ship_speed must be >= 0")):
         if bad.any():
-            k = numbers[int(np.argmax(bad)) + 1]
+            k = lines[int(np.argmax(bad)) + 1][0]
             raise ValueError(f"dataset CSV line {k}: {message}")
     return LabeledDataset(group_ids=np.array(gids, dtype=str),
                           rows=np.array(rows, dtype=int),
@@ -326,4 +310,4 @@ def read_dataset(path: str | Path) -> LabeledDataset:
                 X=values[:, :n_feat], moran_high=values[:, n_feat],
                 labels=a["labels"], n_levels=a["n_levels"].item(),
                 n_subsectors=a["n_subsectors"].item())
-    return parse_dataset_csv(Path(path).read_text())
+    return parse_dataset_csv(data.decode())

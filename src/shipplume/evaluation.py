@@ -195,6 +195,8 @@ def _outer_fold(job: tuple, k: int) -> tuple[FoldResult, tuple, list[dict]]:
     train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
     tr = _rows_of(train_groups, table)
     te = _rows_of(outer[k], table)
+    if not (y[te] == 1).any():
+        raise ValueError(f"outer fold {k} has no positive labels")
     splits = [{"kind": "outer", "fold": k, "train_groups": train_groups,
                "test_groups": outer[k]}]
 

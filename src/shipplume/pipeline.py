@@ -2,8 +2,8 @@
 registry) to sector geometry, enhanced crops, and normalized pixel features.
 
 The feature-extraction CLI, the sector writer and the synthetic-scene label
-writer all run through build_ship_images, so each sees the same ships,
-sectors and pixels.
+writer all run through scene_images, so each sees the same ships, sectors
+and pixels.
 """
 
 from __future__ import annotations
@@ -168,6 +168,17 @@ def read_scene_dir(path: str | Path):
     return image, records, wind, registry, labels
 
 
+def scene_images(path: Path, t_overpass: float, params: PipelineParams):
+    """(images, skipped, labels) of one scene directory: the one pass from
+    its files through build_ship_images; any ValueError names the scene."""
+    try:
+        image, records, wind, registry, labels = read_scene_dir(path)
+        return (*build_ship_images(image, records, wind, registry, t_overpass,
+                                   params), labels)
+    except ValueError as exc:
+        raise ValueError(f"scene {path}: {exc}") from None
+
+
 def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
                               ) -> tuple[LabeledDataset, dict[str, int]]:
     """Assemble the feature dataset for every scene listed in a manifest.
@@ -181,9 +192,8 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
     counts: dict[str, int] = {}
     scene_of: dict[str, Path] = {}
     for ref in refs:
-        image, records, wind, registry, labels = read_scene_dir(ref.path)
-        images, skipped = build_ship_images(image, records, wind, registry,
-                                            ref.t_overpass, params)
+        images, skipped, labels = scene_images(ref.path, ref.t_overpass,
+                                               params)
         for img in images:
             if img.group_id in scene_of:
                 raise ValueError(f"group_id {img.group_id} occurs in scenes "

@@ -28,7 +28,7 @@ from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    _finite_number, fmt_float, grid_to_csv, samples_to_csv)
 from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
-                       build_ship_images, read_scene_dir)
+                       scene_images)
 from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, WindSample,
                      WindVector, ais_to_csv, mean_position, registry_to_csv,
                      wind_shift, wind_to_csv)
@@ -291,9 +291,7 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
     write_atomic(paths["ships"], registry_to_csv(
         [(info.mmsi, info.length_m) for info, _, _ in scene.ships]))
 
-    image, records, wind_rows, registry, _ = read_scene_dir(out_dir)
-    ship_images, _ = build_ship_images(image, records, wind_rows, registry,
-                                       scene.t_overpass, params)
+    ship_images, _, _ = scene_images(out_dir, scene.t_overpass, params)
     mask_by_mmsi = {info.mmsi: scene.truth.masks[i]
                     for i, (info, _, _) in enumerate(scene.ships)}
     spec = scene.image.spec

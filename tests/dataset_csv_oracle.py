@@ -2,11 +2,12 @@
 value with its own ``fmt_float`` call, and the parser that converts every
 field of every line with ``float``.
 
-``dataset.dataset_to_csv`` formats each distinct value of a column once and
-``dataset.parse_dataset_csv`` parses each distinct per-ship run of fields
-once; they must write the same text, and read the same arrays, bit for bit,
-or raise the same error, as these. The one exception: the reference accepts
-a repeated (group_id, row, col) key, which ``parse_dataset_csv`` rejects.
+``dataset.dataset_to_csv`` formats each distinct value of a column once; it
+must write the same text as the reference writer. ``dataset.parse_dataset_csv``
+parses line by line like the reference parser and differs from it only by
+rejecting a repeated (group_id, row, col) key, which the reference accepts;
+otherwise it must read the same arrays, bit for bit, or raise the same
+error. Both references stay the specification the tests compare against.
 Test-only code.
 """
 

@@ -8,10 +8,9 @@ import pytest
 
 from shipplume import evaluation, parallel
 from shipplume.cli import main, parse_config_file
-from shipplume.dataset import dataset_header, dataset_to_csv
+from shipplume.dataset import dataset_header, dataset_to_csv, read_dataset
 from shipplume.fileio import write_atomic
-from shipplume.pipeline import (PipelineParams, build_ship_images,
-                                read_manifest, read_scene_dir)
+from shipplume.pipeline import PipelineParams, read_manifest, scene_images
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
 from conftest import columns_dataset
@@ -72,6 +71,30 @@ def logistic_json(**fields):
                        "bias": 0.0, "class_weights": [1.0, 1.0],
                        "feature_mean": [0.0] * 17, "feature_std": [1.0] * 17,
                        **fields})
+
+
+@pytest.fixture(scope="module")
+def seed3_dataset(tmp_path_factory):
+    """The dataset of a 4-scene corpus whose outer fold 3 (5 folds, seed 0)
+    holds only ships without plume pixels."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert main(["synth", "--scenes-dir", str(root / "scenes"), "--seed", "3",
+                 "--n-scenes", "4", "--emission-scale", "2e-6"]) == 0
+    assert main(["features", "--scenes-dir", str(root / "scenes"),
+                 "--dataset-file", str(root / "dataset.csv")]) == 0
+    return root / "dataset.csv"
+
+
+def negative_speed(lines):
+    """AIS CSV lines whose first record has speed_kt -0.5."""
+    fields = lines[1].split(",")
+    fields[4] = "-0.5"
+    return [lines[0], ",".join(fields), *lines[2:]]
+
+
+def non_integer_n_rows(lines):
+    """grid-csv lines with the header #n_rows=abc."""
+    return ["#n_rows=abc" if ln.startswith("#n_rows=") else ln for ln in lines]
 
 
 class TestConfig:
@@ -486,22 +509,53 @@ class TestBadInputs:
             "error: divergence (try a smaller lr)"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
 
-    @pytest.mark.parametrize("scene_file, edit, message", [
-        ("ais.csv", lambda fields: fields[:4] + ["-0.5"] + fields[5:],
-         "AIS CSV line 2: speed_kt must be >= 0"),
-    ], ids=["ais_negative_speed"])
-    def test_bad_scene_file_row_exits_1(self, small_corpus, tmp_path, capsys,
-                                        scene_file, edit, message):
-        path = small_corpus / "scene_001" / scene_file
-        header, first, *rest = path.read_text().splitlines()
-        path.write_text("\n".join([header, ",".join(edit(first.split(","))),
-                                   *rest]) + "\n")
-        dataset = tmp_path / "dataset.csv"
-        assert run(["features", "--scenes-dir", small_corpus,
-                    "--dataset-file", dataset]) == 1
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["moran", "logistic"])
+    def test_outer_fold_without_positives_exits_1(
+            self, seed3_dataset, tmp_path, capsys, monkeypatch, model,
+            workers):
+        fits = tmp_path / "fits.txt"
+        real_fit = evaluation.fit_family
+
+        def fit(family, X, y, *args):
+            with open(fits, "a") as fh:   # forked workers append too
+                fh.write(f"{int(y.sum())}\n")
+            return real_fit(family, X, y, *args)
+
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(evaluation, "fit_family", fit)
+        out = tmp_path / "out"
+        assert run(["evaluate", "--dataset-file", seed3_dataset,
+                    "--model", model, "--n-candidates", "1",
+                    "--report-file", out, "--pr-file", out,
+                    "--oof-file", out]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            "error: " + message]
-        assert not dataset.exists()
+            "error: outer fold 3 has no positive labels"]
+        assert not out.exists()
+        # only a fold whose test groups hold no positive trains on them all
+        n_pos = read_dataset(seed3_dataset).class_counts[1]
+        positives_seen = [int(n) for n in fits.read_text().split()]
+        assert positives_seen and max(positives_seen) < n_pos
+
+    @pytest.mark.parametrize("command, scene, scene_file, edit, message", [
+        ("features", "scene_001", "ais.csv", negative_speed,
+         "AIS CSV line 2: speed_kt must be >= 0"),
+        *[(command, "scene_002", "grid.csv", non_integer_n_rows,
+           "grid-csv header #n_rows=: invalid literal for int() with base "
+           "10: 'abc'") for command in ("features", "sectors")],
+    ], ids=["ais_negative_speed", "grid_n_rows_abc", "sectors-grid_n_rows_abc"])
+    def test_bad_scene_file_row_exits_1(self, small_corpus, tmp_path, capsys,
+                                        command, scene, scene_file, edit,
+                                        message):
+        path = small_corpus / scene / scene_file
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        assert run([command, "--scenes-dir", small_corpus,
+                    "--dataset-file", out, "--sectors-file", out]) == 1
+        # one line that names the scene directory, as the manifest gives it
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: scene {small_corpus / scene}: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("lat_min", "nan", "lat_min must be finite"),
@@ -534,7 +588,7 @@ class TestBadInputs:
         assert run(["features", "--scenes-dir", tmp_path,
                     "--dataset-file", dataset]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {message}"] * 2
+            f"error: {message}", f"error: scene {grid.parent}: {message}"]
         assert not out.exists()
         assert not dataset.exists()
 
@@ -631,9 +685,8 @@ class TestPipelineCommands:
 
         expected = set()
         for ref in read_manifest(small_corpus / "scenes.csv"):
-            image, records, wind, registry, _ = read_scene_dir(ref.path)
-            images, _ = build_ship_images(image, records, wind, registry,
-                                          ref.t_overpass, PipelineParams())
+            images, _, _ = scene_images(ref.path, ref.t_overpass,
+                                        PipelineParams())
             expected |= {(im.info.mmsi, tuple((lon, lat) for lat, lon
                                               in im.sector.polygon))
                          for im in images}
