@@ -178,7 +178,10 @@ def cmd_ingest(cfg: dict) -> None:
     spec = grid_spec(cfg)
     kept = dropped = 0
     for ref in refs:
-        samples = parse_samples_csv((ref.path / "samples.csv").read_text())
+        try:
+            samples = parse_samples_csv((ref.path / "samples.csv").read_text())
+        except ValueError as exc:
+            raise ValueError(f"scene {ref.path}: {exc}") from None
         good = quality_filter(samples, qa_min=cfg["qa-min"],
                               cloud_max=cfg["cloud-max"])
         kept += len(good)

@@ -215,14 +215,17 @@ def grid_to_csv(image: GridImage) -> str:
 
 
 def parse_grid_csv(text: str) -> GridImage:
-    """Parse grid-csv; a nan cell is invalid, an infinite or unparsable one
-    is rejected with its line number."""
-    header: dict[str, str] = {}
+    """Parse grid-csv; a nan cell is invalid, and an infinite or unparsable
+    cell or a repeated or unknown header key is rejected with its line."""
+    header = dict.fromkeys("lat_min lon_min cell_size n_rows n_cols".split())
     rows: list[list[float]] = []
     row_lines: list[int] = []
     for k, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
+            if header.get(key, "") is not None:  # unknown, or read before
+                raise ValueError(f"grid-csv line {k}: repeated or unknown "
+                                 f"header #{key}=")
             header[key] = value
         elif line.strip():
             try:
@@ -231,11 +234,11 @@ def parse_grid_csv(text: str) -> GridImage:
                 raise ValueError(f"grid-csv line {k}: {exc}") from None
             row_lines.append(k)
     fields = {}
-    for key in ("lat_min", "lon_min", "cell_size", "n_rows", "n_cols"):
-        if key not in header:
+    for key, value in header.items():
+        if value is None:
             raise ValueError(f"grid-csv header missing #{key}=")
         try:   # the counts are ints, the rest floats
-            fields[key] = (int if key.startswith("n_") else float)(header[key])
+            fields[key] = (int if key.startswith("n_") else float)(value)
         except ValueError as exc:
             raise ValueError(f"grid-csv header #{key}=: {exc}") from None
     spec = GridSpec(**fields)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ def columns_dataset(group_ids, X, moran_high, labels, rows=None, cols=None):
         X=np.asarray(X, dtype=float).reshape(n, -1),
         moran_high=np.asarray(moran_high, dtype=float),
         labels=np.array([-1 if y is None else y for y in labels], dtype=int))
+
+
+def assert_no_child():
+    """This process has no child process, running or exited and unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 BRIGHT = ["--grid-rows", "70", "--grid-cols", "70",

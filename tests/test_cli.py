@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -13,12 +12,12 @@ from shipplume.fileio import write_atomic
 from shipplume.pipeline import PipelineParams, read_manifest, scene_images
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
-from conftest import columns_dataset
+from conftest import assert_no_child, columns_dataset
 
 
 def run(argv):
     code = main([str(a) for a in argv])
-    assert multiprocessing.active_children() == []  # every worker joined
+    assert_no_child()  # every worker reaped
     return code
 
 
@@ -90,6 +89,11 @@ def negative_speed(lines):
     fields = lines[1].split(",")
     fields[4] = "-0.5"
     return [lines[0], ",".join(fields), *lines[2:]]
+
+
+def non_float_lat(lines):
+    """samples CSV lines whose first sample has lat abc."""
+    return [lines[0], "abc" + lines[1][lines[1].index(","):], *lines[2:]]
 
 
 def non_integer_n_rows(lines):
@@ -543,7 +547,10 @@ class TestBadInputs:
         *[(command, "scene_002", "grid.csv", non_integer_n_rows,
            "grid-csv header #n_rows=: invalid literal for int() with base "
            "10: 'abc'") for command in ("features", "sectors")],
-    ], ids=["ais_negative_speed", "grid_n_rows_abc", "sectors-grid_n_rows_abc"])
+        ("ingest", "scene_001", "samples.csv", non_float_lat,
+         "samples CSV line 2: could not convert string to float: 'abc'"),
+    ], ids=["ais_negative_speed", "grid_n_rows_abc", "sectors-grid_n_rows_abc",
+            "ingest-samples_lat_abc"])
     def test_bad_scene_file_row_exits_1(self, small_corpus, tmp_path, capsys,
                                         command, scene, scene_file, edit,
                                         message):

@@ -195,6 +195,18 @@ class TestGridCsv:
         with pytest.raises(ValueError, match=f"^grid-csv line 7: {message}"):
             parse_grid_csv(text)
 
+    @pytest.mark.parametrize("lines, message", [
+        (["#n_cols=1"], "line 6: repeated or unknown header #n_cols="),
+        (["#lat_min=0.0"], "line 6: repeated or unknown header #lat_min="),
+        (["#cell_sise=2"], "line 6: repeated or unknown header #cell_sise="),
+        (["# a comment"], "line 6: repeated or unknown header # a comment="),
+    ], ids=["n_cols-twice", "lat_min-twice", "misspelt-key", "comment"])
+    def test_bad_header_lines_rejected_with_line(self, lines, message):
+        text = "\n".join(["#lat_min=0.0", "#lon_min=0.0", "#cell_size=1.0",
+                          "#n_rows=1", "#n_cols=2", *lines, "1.0,2.0"])
+        with pytest.raises(ValueError, match=f"^grid-csv {message}$"):
+            parse_grid_csv(text)
+
     def test_samples_round_trip(self, rng):
         spec = GridSpec(31.5, 19.5, 0.045, 5, 5)
         samples = make_samples(rng, 40, spec)
