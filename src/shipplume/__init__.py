@@ -13,7 +13,7 @@ from .models import (GBTModel, LogisticModel, ThresholdModel, fit_family,
 from .pipeline import PipelineParams, build_dataset_from_scenes, build_ship_images
 from .sector import ShipSector, build_sector, normalize, pixels_in_sector
 from .synth import GroundTruth, Scene, SceneConfig, generate_corpus, generate_scene, scene_to_inputs
-from .tracks import (AISRecord, ShipInfo, Track, WindVector, extreme_tracks,
+from .tracks import (AIS_DTYPE, ShipInfo, Track, WindVector, extreme_tracks,
                      interpolate_track, mean_position, wind_shift)
 
 __version__ = "0.1.0"

@@ -88,10 +88,17 @@ class GridImage:
         return self.values[self.valid]
 
 
+def table_dtype(header: str) -> np.dtype:
+    """Record dtype of a CSV table: one field per column of the header, int64
+    for `mmsi` and float for the rest; an item reads as np.record (`.mmsi`)."""
+    return np.dtype((np.record, [(name, np.int64 if name == "mmsi" else float)
+                                 for name in header.split(",")]))
+
+
 # Scattered observations with their quality descriptors, one record per
 # sample; the fields are the columns of a samples CSV.
 SAMPLES_HEADER = "lat,lon,value,qa,cloud_fraction"
-SAMPLE_DTYPE = np.dtype([(name, float) for name in SAMPLES_HEADER.split(",")])
+SAMPLE_DTYPE = table_dtype(SAMPLES_HEADER)
 
 
 def quality_filter(samples: np.ndarray, qa_min: float = 0.5,
@@ -252,9 +259,21 @@ def parse_grid_csv(text: str) -> GridImage:
     return GridImage(spec, values, ~np.isnan(values))
 
 
-def samples_to_csv(samples: np.ndarray) -> str:
-    columns = [fmt_floats(samples[name]) for name in samples.dtype.names]
-    return "\n".join([SAMPLES_HEADER, *map(",".join, zip(*columns))]) + "\n"
+def table_to_csv(table: np.ndarray) -> str:
+    """CSV of a table: its field names as the header, then one row per
+    record; floats in fmt_float form, each distinct value formatted once."""
+    columns = [fmt_floats(table[name]) if table.dtype[name].kind == "f"
+               else list(map(str, table[name].tolist()))
+               for name in table.dtype.names]
+    return "\n".join([",".join(table.dtype.names),
+                      *map(",".join, zip(*columns))]) + "\n"
+
+
+def parse_table(text: str, dtype: np.dtype, kind: str, convert) -> np.ndarray:
+    """The table of a CSV whose header is the dtype's field names;
+    convert(fields) checks one row and returns its values."""
+    return np.array(_parse_rows(text, ",".join(dtype.names), kind, convert),
+                    dtype=dtype)
 
 
 def _sample(fields: list[str]) -> tuple[float, ...]:
@@ -266,5 +285,4 @@ def _sample(fields: list[str]) -> tuple[float, ...]:
 
 
 def parse_samples_csv(text: str) -> np.ndarray:
-    return np.array(_parse_rows(text, SAMPLES_HEADER, "samples", _sample),
-                    dtype=SAMPLE_DTYPE)
+    return parse_table(text, SAMPLE_DTYPE, "samples", _sample)

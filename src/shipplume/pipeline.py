@@ -12,16 +12,18 @@ import datetime
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
                       select_ships)
 from .enhance import moran_enhance, moran_on_high
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, GridImage, _check_rules,
                    _finite, _finite_number, _parse_rows, crop, parse_grid_csv)
 from .sector import build_sector, normalize, pixels_in_sector
-from .tracks import (AISRecord, ShipInfo, WindSample, extreme_tracks,
-                     interpolate_track, lookup_wind, mean_position,
-                     overpass_speed_ms, parse_ais_csv, parse_registry_csv,
-                     parse_wind_csv, wind_shift)
+from .tracks import (ShipInfo, extreme_tracks, interpolate_track,
+                     lookup_wind, mean_position, overpass_speed_ms,
+                     parse_ais_csv, parse_registry_csv, parse_wind_csv,
+                     wind_shift)
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,13 @@ SKIP_REASONS = frozenset({
     "empty sector"})
 
 
-def build_ship_images(image: GridImage, records: list[AISRecord],
-                      wind_samples: list[WindSample], registry: dict[int, float],
+def build_ship_images(image: GridImage, records: np.ndarray,
+                      wind_samples: np.ndarray, registry: dict[int, float],
                       t_overpass: float, params: PipelineParams,
                       ) -> tuple[list[ShipImage], dict[str, int]]:
     """Run the sector pipeline for every ship, in MMSI order, that passes the
-    selection rules; this is the one loop over a scene's ships.
+    selection rules; this is the one loop over a scene's ships, whose records
+    and wind_samples are tracks.AIS_DTYPE and tracks.WIND_DTYPE tables.
 
     A ship that fails a step with a message in SKIP_REASONS is skipped and
     tallied by that message.
@@ -79,15 +82,16 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
             raise exc
         skipped[reason] = skipped.get(reason, 0) + 1
 
-    by_mmsi: dict[int, list[AISRecord]] = {}
-    for rec in records:
-        by_mmsi.setdefault(rec.mmsi, []).append(rec)
+    # the ships in MMSI order, each with its records in file order
+    order = np.argsort(records["mmsi"], kind="stable")
+    mmsis, starts = np.unique(records["mmsi"][order], return_index=True)
     prepared = []
-    for mmsi in sorted(by_mmsi):
+    for mmsi, ship_records in zip(mmsis.tolist(),
+                                  np.split(records[order], starts[1:])):
         try:
             if mmsi not in registry:
                 raise ValueError("no registry entry")
-            track = interpolate_track(by_mmsi[mmsi], t_overpass,
+            track = interpolate_track(ship_records, t_overpass,
                                       window_s=params.window_s,
                                       step_s=params.step_s)
         except ValueError as exc:
@@ -95,7 +99,7 @@ def build_ship_images(image: GridImage, records: list[AISRecord],
             continue
         wind = lookup_wind(wind_samples, t_overpass, *mean_position(track))
         info = ShipInfo(mmsi=mmsi, length_m=registry[mmsi],
-                        speed_ms=overpass_speed_ms(by_mmsi[mmsi], t_overpass))
+                        speed_ms=overpass_speed_ms(ship_records, t_overpass))
         prepared.append((info, track, wind, wind_shift(track, wind, t_overpass)))
 
     selected = select_ships([(info, shifted) for info, _, _, shifted in prepared],

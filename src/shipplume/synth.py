@@ -25,13 +25,12 @@ from .dataset import labels_to_csv
 from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
-                   _finite_number, fmt_float, grid_to_csv, samples_to_csv)
+                   _finite_number, fmt_float, grid_to_csv, table_to_csv)
 from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        scene_images)
-from .tracks import (AISRecord, KNOT_MS, ShipInfo, Track, WindSample,
-                     WindVector, ais_to_csv, mean_position, registry_to_csv,
-                     wind_shift, wind_to_csv)
+from .tracks import (AIS_DTYPE, KNOT_MS, REGISTRY_DTYPE, WIND_DTYPE, ShipInfo,
+                     Track, WindVector, mean_position, wind_shift)
 
 DEFAULT_GRID = GridSpec(lat_min=31.5, lon_min=19.5, cell_size=0.045,
                         n_rows=60, n_cols=60)
@@ -242,25 +241,25 @@ def scene_samples(scene: Scene) -> np.ndarray:
     return out
 
 
-def scene_ais_records(scene: Scene) -> list[AISRecord]:
-    records = []
+def scene_ais_records(scene: Scene) -> np.ndarray:
+    """The AIS_DTYPE table of every ship's track points, ship by ship."""
+    parts = []
     for (info, track, _), heading in zip(scene.ships, scene.headings):
-        speed_kt = info.speed_ms / KNOT_MS
-        records += [AISRecord(mmsi=info.mmsi, timestamp=t, lat=lat, lon=lon,
-                              speed=speed_kt, heading=heading)
-                    for t, lat, lon in zip(track.t.tolist(), track.lat.tolist(),
-                                           track.lon.tolist())]
-    return records
+        part = np.zeros(len(track.t), dtype=AIS_DTYPE)
+        part["mmsi"] = info.mmsi
+        part["timestamp"], part["lat"], part["lon"] = track.t, track.lat, track.lon
+        part["speed_kt"] = info.speed_ms / KNOT_MS
+        part["heading_deg"] = heading
+        parts.append(part)
+    return np.concatenate(parts)
 
 
-def scene_wind_samples(scene: Scene) -> list[WindSample]:
+def scene_wind_samples(scene: Scene) -> np.ndarray:
+    """The WIND_DTYPE table of the scene wind at the four grid corners."""
     spec = scene.image.spec
-    out = []
-    for lat in (spec.lat_min, spec.lat_max):
-        for lon in (spec.lon_min, spec.lon_max):
-            out.append(WindSample(timestamp=scene.t_overpass, lat=lat, lon=lon,
-                                  u=scene.wind.u, v=scene.wind.v))
-    return out
+    return np.array([(scene.t_overpass, lat, lon, scene.wind.u, scene.wind.v)
+                     for lat in (spec.lat_min, spec.lat_max)
+                     for lon in (spec.lon_min, spec.lon_max)], dtype=WIND_DTYPE)
 
 
 def scene_to_inputs(scene: Scene, out_dir: str | Path,
@@ -285,11 +284,12 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
         "labels": out_dir / "labels.csv",
     }
     write_atomic(paths["grid"], grid_to_csv(scene.image))
-    write_atomic(paths["samples"], samples_to_csv(scene_samples(scene)))
-    write_atomic(paths["ais"], ais_to_csv(scene_ais_records(scene)))
-    write_atomic(paths["wind"], wind_to_csv(scene_wind_samples(scene)))
-    write_atomic(paths["ships"], registry_to_csv(
-        [(info.mmsi, info.length_m) for info, _, _ in scene.ships]))
+    write_atomic(paths["samples"], table_to_csv(scene_samples(scene)))
+    write_atomic(paths["ais"], table_to_csv(scene_ais_records(scene)))
+    write_atomic(paths["wind"], table_to_csv(scene_wind_samples(scene)))
+    write_atomic(paths["ships"], table_to_csv(np.array(
+        [(info.mmsi, info.length_m) for info, _, _ in scene.ships],
+        dtype=REGISTRY_DTYPE)))
 
     ship_images, _, _ = scene_images(out_dir, scene.t_overpass, params)
     mask_by_mmsi = {info.mmsi: scene.truth.masks[i]

@@ -14,19 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import M_PER_DEG_LAT, _finite, _parse_rows, fmt_float
+from .grid import M_PER_DEG_LAT, _finite, _parse_rows, parse_table, table_dtype
 
 KNOT_MS = 1852.0 / 3600.0  # one knot in m/s
-
-
-@dataclass(frozen=True)
-class AISRecord:
-    mmsi: int
-    timestamp: float  # UTC seconds
-    lat: float
-    lon: float
-    speed: float      # knots
-    heading: float    # degrees in [0, 360)
 
 
 @dataclass(frozen=True)
@@ -73,43 +63,23 @@ class WindVector:
         return math.hypot(self.u, self.v)
 
 
-def clean_records(records: list[AISRecord]) -> list[AISRecord]:
-    """Sort by timestamp and drop records that do not advance the clock."""
-    out: list[AISRecord] = []
-    for rec in sorted(records, key=lambda r: r.timestamp):
-        if not out or rec.timestamp > out[-1].timestamp:
-            out.append(rec)
-    return out
-
-
-def _dead_reckon(rec: AISRecord, t: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant speed/heading positions at times t (which may precede the
-    record)."""
-    dt = t - rec.timestamp
-    sp = rec.speed * KNOT_MS
-    north = sp * math.cos(math.radians(rec.heading))
-    east = sp * math.sin(math.radians(rec.heading))
-    lat = rec.lat + north * dt / M_PER_DEG_LAT
-    lon = rec.lon + east * dt / (M_PER_DEG_LAT * math.cos(math.radians(rec.lat)))
-    return lat, lon
-
-
-def interpolate_track(records: list[AISRecord], t_overpass: float,
+def interpolate_track(records: np.ndarray, t_overpass: float,
                       window_s: float = 7200.0, step_s: float = 300.0) -> Track:
-    """Resample a ship's AIS records onto the uniform time grid
-    {t_overpass - k*step_s} covering the pre-overpass window.
+    """Resample a ship's AIS records (an AIS_DTYPE table) onto the uniform
+    time grid {t_overpass - k*step_s} covering the pre-overpass window.
 
     Positions are piecewise-linear in lat/lon between records. Times up to one
-    step beyond record coverage are dead-reckoned from the nearest record;
-    anything further is dropped (the track is truncated).
+    step beyond record coverage are dead-reckoned from the nearest record,
+    unless its heading is outside [0, 360) (AIS writes 511 for "not
+    available"); anything further is dropped (the track is truncated).
     """
-    recs = clean_records(records)
+    # sorted by time, without the records that do not advance the clock
+    recs = records[np.argsort(records["timestamp"], kind="stable")]
+    recs = recs[np.diff(recs["timestamp"], prepend=-np.inf) > 0]
     if len(recs) < 2:
         raise ValueError("insufficient AIS coverage")
-    ts = np.array([r.timestamp for r in recs])
-    lats = np.array([r.lat for r in recs])
-    lons = np.array([r.lon for r in recs])
+    ts, lats, lons = recs["timestamp"], recs["lat"], recs["lon"]
+    reckons = (recs["heading_deg"] >= 0) & (recs["heading_deg"] < 360)
     n_steps = int(math.floor(window_s / step_s + 1e-9))
     t = t_overpass - np.arange(n_steps, -1, -1) * step_s
     # record at or before t, and the segment [i, i + 1] that brackets t
@@ -119,16 +89,22 @@ def interpolate_track(records: list[AISRecord], t_overpass: float,
     at_record = ts[j] == t
     lat = np.where(at_record, lats[j], lats[i] + w * (lats[i + 1] - lats[i]))
     lon = np.where(at_record, lons[j], lons[i] + w * (lons[i + 1] - lons[i]))
-    before = (t < ts[0]) & (ts[0] - t <= step_s)
-    after = (t > ts[-1]) & (t - ts[-1] <= step_s)
+    before = (t < ts[0]) & (ts[0] - t <= step_s) & reckons[0]
+    after = (t > ts[-1]) & (t - ts[-1] <= step_s) & reckons[-1]
     for near, rec in ((before, recs[0]), (after, recs[-1])):
-        lat_dr, lon_dr = _dead_reckon(rec, t)
-        lat = np.where(near, lat_dr, lat)
-        lon = np.where(near, lon_dr, lon)
+        # constant speed and heading from the record, also back in time
+        _, t_rec, lat_rec, lon_rec, speed_kt, heading = rec.item()
+        dt = t - t_rec
+        sp = speed_kt * KNOT_MS
+        north = sp * math.cos(math.radians(heading))
+        east = sp * math.sin(math.radians(heading))
+        lat = np.where(near, lat_rec + north * dt / M_PER_DEG_LAT, lat)
+        lon = np.where(near, lon_rec + east * dt / (
+            M_PER_DEG_LAT * math.cos(math.radians(lat_rec))), lon)
     keep = ((ts[0] <= t) & (t <= ts[-1])) | before | after
     if keep.sum() < 2:
         raise ValueError("insufficient AIS coverage")
-    return Track(recs[0].mmsi, t[keep], lat[keep], lon[keep])
+    return Track(int(recs["mmsi"][0]), t[keep], lat[keep], lon[keep])
 
 
 def mean_position(track: Track) -> tuple[float, float]:
@@ -172,89 +148,66 @@ def extreme_tracks(track: Track, wind: WindVector, t_overpass: float,
 # --- file formats ---------------------------------------------------------
 
 AIS_HEADER = "mmsi,timestamp,lat,lon,speed_kt,heading_deg"
+AIS_DTYPE = table_dtype(AIS_HEADER)
 
 
-def ais_to_csv(records: list[AISRecord]) -> str:
-    lines = [AIS_HEADER]
-    for r in records:
-        lines.append(f"{r.mmsi},{fmt_float(r.timestamp)},{fmt_float(r.lat)},"
-                     f"{fmt_float(r.lon)},{fmt_float(r.speed)},{fmt_float(r.heading)}")
-    return "\n".join(lines) + "\n"
-
-
-def _ais_record(fields: list[str]) -> AISRecord:
-    record = AISRecord(int(fields[0]), *map(_finite, fields[1:]))
-    if record.speed < 0:  # heading is free: AIS writes 511 for "unknown"
+def _ais_record(fields: list[str]) -> tuple:
+    record = (int(fields[0]), *map(_finite, fields[1:]))
+    if not -2 ** 63 <= record[0] < 2 ** 63:
+        raise ValueError("mmsi must fit in 64 bits")
+    if record[4] < 0:  # heading is free: AIS writes 511 for "unknown"
         raise ValueError("speed_kt must be >= 0")
     return record
 
 
-def parse_ais_csv(text: str) -> list[AISRecord]:
-    return _parse_rows(text, AIS_HEADER, "AIS", _ais_record)
-
-
-@dataclass(frozen=True)
-class WindSample:
-    timestamp: float
-    lat: float
-    lon: float
-    u: float
-    v: float
+def parse_ais_csv(text: str) -> np.ndarray:
+    return parse_table(text, AIS_DTYPE, "AIS", _ais_record)
 
 
 WIND_HEADER = "timestamp,lat,lon,u,v"
+WIND_DTYPE = table_dtype(WIND_HEADER)
 
 
-def wind_to_csv(samples: list[WindSample]) -> str:
-    lines = [WIND_HEADER]
-    for s in samples:
-        lines.append(",".join(fmt_float(x) for x in
-                              (s.timestamp, s.lat, s.lon, s.u, s.v)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_wind_csv(text: str) -> list[WindSample]:
-    return _parse_rows(text, WIND_HEADER, "wind",
-                       lambda f: WindSample(*map(_finite, f)))
+def parse_wind_csv(text: str) -> np.ndarray:
+    return parse_table(text, WIND_DTYPE, "wind",
+                       lambda f: tuple(map(_finite, f)))
 
 
 REGISTRY_HEADER = "mmsi,length_m"
-
-
-def registry_to_csv(entries: list[tuple[int, float]]) -> str:
-    lines = [REGISTRY_HEADER]
-    for mmsi, length in entries:
-        lines.append(f"{mmsi},{fmt_float(length)}")
-    return "\n".join(lines) + "\n"
-
-
-def _registry_entry(fields: list[str]) -> tuple[int, float]:
-    length = _finite(fields[1])
-    if length <= 0:
-        raise ValueError("length_m must be > 0")
-    return int(fields[0]), length
+REGISTRY_DTYPE = table_dtype(REGISTRY_HEADER)
 
 
 def parse_registry_csv(text: str) -> dict[int, float]:
-    return dict(_parse_rows(text, REGISTRY_HEADER, "ship registry",
-                            _registry_entry))
+    """{mmsi: length_m}; a repeated mmsi is rejected with its line."""
+    out: dict[int, float] = {}
+
+    def add(fields: list[str]) -> None:
+        length = _finite(fields[1])
+        if length <= 0:
+            raise ValueError("length_m must be > 0")
+        mmsi = int(fields[0])
+        if mmsi in out:
+            raise ValueError(f"duplicate mmsi {mmsi}")
+        out[mmsi] = length
+
+    _parse_rows(text, REGISTRY_HEADER, "ship registry", add)
+    return out
 
 
-def lookup_wind(samples: list[WindSample], t: float, lat: float, lon: float) -> WindVector:
+def lookup_wind(samples: np.ndarray, t: float, lat: float, lon: float) -> WindVector:
     """Nearest wind sample in time, then in space (ties resolved by file order)."""
-    if not samples:
+    if not len(samples):
         raise ValueError("no wind samples")
-    best = min(enumerate(samples),
-               key=lambda kv: (abs(kv[1].timestamp - t),
-                               (kv[1].lat - lat) ** 2 + (kv[1].lon - lon) ** 2,
-                               kv[0]))
-    return WindVector(best[1].u, best[1].v)
+    k = np.lexsort(((samples["lat"] - lat) ** 2 + (samples["lon"] - lon) ** 2,
+                    np.abs(samples["timestamp"] - t)))[0]
+    return WindVector(float(samples["u"][k]), float(samples["v"][k]))
 
 
-def overpass_speed_ms(records: list[AISRecord], t_overpass: float) -> float:
-    """Speed over ground at the overpass, from the record nearest in time."""
-    recs = clean_records(records)
-    if not recs:
+def overpass_speed_ms(records: np.ndarray, t_overpass: float) -> float:
+    """Speed over ground at the overpass, from the record nearest in time
+    (the earlier of two equally near, the first of two at one time)."""
+    if not len(records):
         raise ValueError("no AIS records")
-    nearest = min(recs, key=lambda r: (abs(r.timestamp - t_overpass), r.timestamp))
-    return nearest.speed * KNOT_MS
+    ts = records["timestamp"]
+    k = np.lexsort((ts, np.abs(ts - t_overpass)))[0]
+    return float(records["speed_kt"][k]) * KNOT_MS

@@ -20,6 +20,11 @@ def columns_dataset(group_ids, X, moran_high, labels, rows=None, cols=None):
         labels=np.array([-1 if y is None else y for y in labels], dtype=int))
 
 
+def table(dtype, rows):
+    """A record table (e.g. tracks.AIS_DTYPE) from an iterable of rows."""
+    return np.array([tuple(r) for r in rows], dtype=dtype)
+
+
 def assert_no_child():
     """This process has no child process, running or exited and unreaped."""
     with pytest.raises(ChildProcessError):

@@ -13,7 +13,8 @@ from shipplume.dataset import (dataset_to_csv, labels_to_csv,
 from shipplume.enhance import moran_enhance
 from shipplume.evaluation import (average_precision, nested_cv,
                                   proxy_correlation, ship_estimates)
-from shipplume.grid import GridImage, GridSpec, grid_to_csv, parse_grid_csv
+from shipplume.grid import (GridImage, GridSpec, grid_to_csv, parse_grid_csv,
+                            table_to_csv)
 from shipplume.models import (GBTModel, LogisticModel, ThresholdModel,
                               _gradient, eval_tree, fit_gbt_arrays,
                               fit_threshold_values, model_to_json,
@@ -21,8 +22,7 @@ from shipplume.models import (GBTModel, LogisticModel, ThresholdModel,
 from shipplume.pipeline import PipelineParams, build_dataset_from_scenes
 from shipplume.sector import normalize_points, pixels_in_sector, ShipSector
 from shipplume.synth import generate_corpus
-from shipplume.tracks import (AISRecord, ais_to_csv, parse_ais_csv,
-                              WindVector)
+from shipplume.tracks import AIS_DTYPE, WindVector, parse_ais_csv
 from scipy.special import expit
 
 from conftest import columns_dataset, random_image
@@ -339,15 +339,16 @@ def test_criterion_10_format_round_trips(rng):
 
     # AIS CSV
     for _ in range(n_cases):
-        recs = [AISRecord(int(rng.integers(1, 10 ** 9)),
+        recs = np.array([(int(rng.integers(1, 10 ** 9)),
                           float(rng.uniform(1.5e9, 1.6e9)),
                           float(rng.uniform(-80, 80)),
                           float(rng.uniform(-180, 180)),
                           float(rng.uniform(0, 30)),
                           float(rng.uniform(0, 360)))
-                for _ in range(int(rng.integers(1, 4)))]
-        text = ais_to_csv(recs)
-        assert ais_to_csv(parse_ais_csv(text)) == text
+                         for _ in range(int(rng.integers(1, 4)))],
+                        dtype=AIS_DTYPE)
+        text = table_to_csv(recs)
+        assert table_to_csv(parse_ais_csv(text)) == text
 
     # label CSV
     for _ in range(n_cases):

@@ -7,7 +7,9 @@ import pytest
 from shipplume import pipeline
 from shipplume.grid import GridImage, GridSpec
 from shipplume.pipeline import SKIP_REASONS, PipelineParams, build_ship_images
-from shipplume.tracks import AISRecord, WindSample
+from shipplume.tracks import AIS_DTYPE, WIND_DTYPE
+
+from conftest import table
 
 T0 = 1554120000.0
 SPEC = GridSpec(lat_min=30.0, lon_min=10.0, cell_size=0.045, n_rows=160,
@@ -19,8 +21,8 @@ def northbound(mmsi, lat0, lon0, speed_kt=20.0, n_records=25, moving=True):
     reaches (lat0, lon0) at T0; one not moving stays at (lat0, lon0) but
     still reports speed_kt."""
     dlat = speed_kt * 1852.0 / 3600.0 * 300.0 / 111_320.0 if moving else 0.0
-    return [AISRecord(mmsi, T0 - 300.0 * k, lat0 - dlat * k, lon0, speed_kt,
-                      0.0) for k in range(n_records)]
+    return table(AIS_DTYPE, [(mmsi, T0 - 300.0 * k, lat0 - dlat * k, lon0,
+                              speed_kt, 0.0) for k in range(n_records)])
 
 
 def box(lat0, lon0):
@@ -47,11 +49,12 @@ def skip_scene():
         110: (35.0, 13.0),  # valid cells only west of its track
     }
     speeds = {102: 16.0, 105: 10.0}
-    records = [rec for mmsi, (lat, lon) in ships.items()
-               for rec in northbound(mmsi, lat, lon, speeds.get(mmsi, 20.0),
-                                     1 if mmsi == 104 else 25)]
-    wind = [WindSample(T0, lat - 0.3, lon, 0.0 if mmsi == 109 else 3.0, 0.0)
-            for mmsi, (lat, lon) in ships.items()]
+    records = np.concatenate([northbound(mmsi, lat, lon,
+                                         speeds.get(mmsi, 20.0),
+                                         1 if mmsi == 104 else 25)
+                              for mmsi, (lat, lon) in ships.items()])
+    wind = table(WIND_DTYPE, [(T0, lat - 0.3, lon, 0.0 if mmsi == 109 else 3.0,
+                               0.0) for mmsi, (lat, lon) in ships.items()])
     registry = {mmsi: 200.0 for mmsi in ships if mmsi != 103}
     values = np.random.default_rng(0).normal(5.0, 1.0, (SPEC.n_rows,
                                                          SPEC.n_cols))
@@ -83,7 +86,7 @@ def test_every_skip_reason_is_counted():
                       np.ones((SPEC.n_rows, SPEC.n_cols), dtype=bool))
     images, narrow = build_ship_images(
         image, northbound(201, *corner, moving=False),
-        [WindSample(T0, *corner, 0.0, 0.0)], {201: 200.0}, T0,
+        table(WIND_DTYPE, [(T0, *corner, 0.0, 0.0)]), {201: 200.0}, T0,
         PipelineParams(half_extent=0.01))
     assert images == [] and narrow == {"empty crop": 1}
     assert set(skipped) | set(narrow) == SKIP_REASONS

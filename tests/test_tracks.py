@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from shipplume.grid import M_PER_DEG_LAT
-from shipplume.tracks import (KNOT_MS, AISRecord, Track, WindVector,
-                              ais_to_csv, extreme_tracks, interpolate_track,
-                              lookup_wind, parse_ais_csv, parse_registry_csv,
-                              parse_wind_csv, registry_to_csv, wind_shift,
-                              wind_to_csv, WindSample)
+from shipplume.grid import M_PER_DEG_LAT, table_to_csv
+from shipplume.tracks import (AIS_DTYPE, KNOT_MS, REGISTRY_DTYPE, WIND_DTYPE,
+                              Track, WindVector, extreme_tracks,
+                              interpolate_track, lookup_wind,
+                              overpass_speed_ms, parse_ais_csv,
+                              parse_registry_csv, parse_wind_csv, wind_shift)
+
+from conftest import table
 
 T0 = 1554120000.0
 
@@ -22,42 +24,44 @@ def straight_records(mmsi=1, lat0=32.0, lon0=20.0, heading=90.0, speed=16.0,
     recs = []
     for t in times:
         dt = T0 - t
-        recs.append(AISRecord(mmsi, t,
-                              lat0 - north * dt / M_PER_DEG_LAT,
-                              lon0 - east * dt / (M_PER_DEG_LAT
-                                                  * math.cos(math.radians(lat0))),
-                              speed, heading))
-    return recs
+        recs.append((mmsi, t,
+                     lat0 - north * dt / M_PER_DEG_LAT,
+                     lon0 - east * dt / (M_PER_DEG_LAT
+                                         * math.cos(math.radians(lat0))),
+                     speed, heading))
+    return table(AIS_DTYPE, recs)
 
 
 def reference_track(recs, t_overpass, window_s, step_s):
     """The resampling rule one grid time at a time, in Python floats:
-    linear between records, dead-reckoned up to one step beyond them."""
-    ts = [r.timestamp for r in recs]
+    linear between records, dead-reckoned up to one step beyond them from
+    a record whose heading is in [0, 360)."""
+    recs = recs.tolist()   # (mmsi, t, lat, lon, speed_kt, heading_deg) tuples
+    ts = [r[1] for r in recs]
 
     def reckon(rec, t):
-        sp = rec.speed * KNOT_MS
-        north = sp * math.cos(math.radians(rec.heading))
-        east = sp * math.sin(math.radians(rec.heading))
-        return (rec.lat + north * (t - rec.timestamp) / M_PER_DEG_LAT,
-                rec.lon + east * (t - rec.timestamp)
-                / (M_PER_DEG_LAT * math.cos(math.radians(rec.lat))))
+        _, t_rec, lat, lon, speed, heading = rec
+        sp = speed * KNOT_MS
+        north = sp * math.cos(math.radians(heading))
+        east = sp * math.sin(math.radians(heading))
+        return (lat + north * (t - t_rec) / M_PER_DEG_LAT,
+                lon + east * (t - t_rec)
+                / (M_PER_DEG_LAT * math.cos(math.radians(lat))))
 
     out = []
     for k in range(int(math.floor(window_s / step_s + 1e-9)), -1, -1):
         t = t_overpass - k * step_s
         if t in ts:
             rec = recs[ts.index(t)]
-            out.append((t, rec.lat, rec.lon))
+            out.append((t, rec[2], rec[3]))
         elif ts[0] < t < ts[-1]:
             i = max(j for j in range(len(ts)) if ts[j] < t)
             a, b = recs[i], recs[i + 1]
-            w = (t - a.timestamp) / (b.timestamp - a.timestamp)
-            out.append((t, a.lat + w * (b.lat - a.lat),
-                        a.lon + w * (b.lon - a.lon)))
-        elif 0 < ts[0] - t <= step_s:
+            w = (t - a[1]) / (b[1] - a[1])
+            out.append((t, a[2] + w * (b[2] - a[2]), a[3] + w * (b[3] - a[3])))
+        elif 0 < ts[0] - t <= step_s and 0 <= recs[0][5] < 360:
             out.append((t, *reckon(recs[0], t)))
-        elif 0 < t - ts[-1] <= step_s:
+        elif 0 < t - ts[-1] <= step_s and 0 <= recs[-1][5] < 360:
             out.append((t, *reckon(recs[-1], t)))
     return out
 
@@ -90,31 +94,35 @@ class TestInterpolateTrack:
 
     def test_piecewise_linear_oracle(self, rng):
         times = sorted(rng.uniform(T0 - 8000, T0 + 100, size=40).tolist())
-        recs = [AISRecord(7, t, float(rng.uniform(31, 33)),
-                          float(rng.uniform(19, 21)), 15.0, 0.0)
-                for t in times]
+        recs = table(AIS_DTYPE, [(7, t, float(rng.uniform(31, 33)),
+                                  float(rng.uniform(19, 21)), 15.0, 0.0)
+                                 for t in times])
         track = interpolate_track(recs, T0)
-        ts = [r.timestamp for r in recs]
+        ts = recs["timestamp"]
         for t, plat, plon in zip(track.t, track.lat, track.lon):
             if ts[0] <= t <= ts[-1]:
-                lat = np.interp(t, ts, [r.lat for r in recs])
-                lon = np.interp(t, ts, [r.lon for r in recs])
+                lat = np.interp(t, ts, recs["lat"])
+                lon = np.interp(t, ts, recs["lon"])
                 assert plat == pytest.approx(lat, abs=1e-12)
                 assert plon == pytest.approx(lon, abs=1e-12)
 
     def test_matches_scalar_reference_bit_for_bit(self, rng):
         # random record times give interpolated, exact-hit, dead-reckoned
-        # and truncated grid times; steps of 250 s put grid times on records
+        # and truncated grid times; steps of 250 s put grid times on records;
+        # in every third trial about half the headings are 511, "not available"
         for trial in range(200):
             n = int(rng.integers(2, 10))
             if trial % 2:
                 times = sorted(set((T0 - 250.0 * rng.integers(-2, 35, n)).tolist()))
             else:
                 times = sorted(rng.uniform(T0 - 9000, T0 + 500, n).tolist())
-            recs = [AISRecord(3, t, float(rng.uniform(-60, 60)),
-                              float(rng.uniform(-180, 180)),
-                              float(rng.uniform(0, 30)),
-                              float(rng.uniform(0, 360))) for t in times]
+            recs = table(AIS_DTYPE, [(3, t, float(rng.uniform(-60, 60)),
+                                      float(rng.uniform(-180, 180)),
+                                      float(rng.uniform(0, 30)),
+                                      float(rng.uniform(0, 360)))
+                                     for t in times])
+            if trial % 3 == 0:
+                recs["heading_deg"][rng.random(len(recs)) < 0.5] = 511.0
             expected = reference_track(recs, T0, 7200.0, 250.0)
             if len(expected) < 2:
                 with pytest.raises(ValueError, match="insufficient AIS"):
@@ -134,6 +142,27 @@ class TestInterpolateTrack:
         track = interpolate_track(recs, T0)
         assert track.t[0] == T0 - 2100  # one step of reckoning
         assert np.all(track.t >= T0 - 2100)
+
+    @pytest.mark.parametrize("heading", [511.0, 360.0, -1.0])
+    def test_unknown_heading_is_not_dead_reckoned(self, heading):
+        # 0.01 deg north per 300 s from T0 - 7000 to T0 - 100: the grid times
+        # T0 - 7200 and T0 fall 200 s before and 100 s after the records
+        def records(heading):
+            return table(AIS_DTYPE, [(1, T0 - 7000 + 300.0 * k, 32.0 + 0.01 * k,
+                                      20.0, 15.0, heading) for k in range(24)])
+
+        north = interpolate_track(records(0.0), T0)
+        assert north.t[0] == T0 - 7200 and north.t[-1] == T0
+        assert north.lat[0] == pytest.approx(31.98614, abs=1e-5)
+        assert north.lat[-1] == pytest.approx(32.23693, abs=1e-5)
+        # without a heading both reckoned ends are dropped, and the rest stays
+        unknown = interpolate_track(records(heading), T0)
+        assert unknown.t.tolist() == north.t[1:-1].tolist()
+        assert unknown.lat.tolist() == north.lat[1:-1].tolist()
+        assert unknown.lon.tolist() == north.lon[1:-1].tolist()
+        # a track left with one point is too short
+        with pytest.raises(ValueError, match="insufficient AIS coverage"):
+            interpolate_track(records(heading)[-2:], T0 + 50, window_s=300.0)
 
 
 class TestWindShift:
@@ -233,36 +262,38 @@ class TestExtremeTracks:
 class TestCsvFormats:
     def test_ais_round_trip(self, rng):
         recs = straight_records(times=[T0 - 600 * k for k in range(12, -1, -1)])
-        text = ais_to_csv(recs)
-        assert ais_to_csv(parse_ais_csv(text)) == text
+        text = table_to_csv(recs)
+        assert table_to_csv(parse_ais_csv(text)) == text
 
     def test_wind_round_trip(self):
-        samples = [WindSample(T0, 31.5, 19.5, 3.25, -1.5),
-                   WindSample(T0, 34.2, 29.5, 3.25, -1.5)]
-        text = wind_to_csv(samples)
-        assert wind_to_csv(parse_wind_csv(text)) == text
+        samples = table(WIND_DTYPE, [(T0, 31.5, 19.5, 3.25, -1.5),
+                                     (T0, 34.2, 29.5, 3.25, -1.5)])
+        text = table_to_csv(samples)
+        assert table_to_csv(parse_wind_csv(text)) == text
 
     def test_registry_round_trip(self):
-        text = registry_to_csv([(123, 180.0), (456, 250.5)])
+        text = table_to_csv(table(REGISTRY_DTYPE, [(123, 180.0), (456, 250.5)]))
         parsed = parse_registry_csv(text)
-        assert registry_to_csv(sorted(parsed.items())) == text
+        assert table_to_csv(table(REGISTRY_DTYPE, sorted(parsed.items()))) == text
 
     def test_ais_bad_rows_rejected_with_line(self):
-        text = ais_to_csv(straight_records()[:1])
+        text = table_to_csv(straight_records()[:1])
         for bad, message in (("1,1554120000,nan,20,16,90", "non-finite"),
                              ("1,1554120000,32,20,inf,90", "non-finite"),
                              ("1,1554120000,32,20,16,90,0", "wrong field count"),
                              ("1,1554120000,32,20,-0.5,90",
                               "speed_kt must be >= 0"),
-                             ("x1,1554120000,32,20,16,90", "invalid literal")):
+                             ("x1,1554120000,32,20,16,90", "invalid literal"),
+                             ("9223372036854775808,1554120000,32,20,16,90",
+                              "mmsi must fit in 64 bits")):
             with pytest.raises(ValueError, match=f"^AIS CSV line 3: {message}"):
                 parse_ais_csv(text + bad + "\n")
         # 511 is AIS for "heading not available"
         parsed = parse_ais_csv(text + "1,1554120000,32,20,0,511\n")
-        assert parsed[1].heading == 511
+        assert parsed[1]["heading_deg"] == 511
 
     def test_wind_bad_rows_rejected_with_line(self):
-        text = wind_to_csv([WindSample(T0, 31.5, 19.5, 3.25, -1.5)])
+        text = table_to_csv(table(WIND_DTYPE, [(T0, 31.5, 19.5, 3.25, -1.5)]))
         for bad, message in (("1554120000,31.5,19.5,nan,-1.5", "non-finite"),
                              ("1554120000,31.5,19.5,3.25", "wrong field count")):
             with pytest.raises(ValueError,
@@ -270,18 +301,34 @@ class TestCsvFormats:
                 parse_wind_csv(text + bad + "\n")
 
     def test_registry_bad_rows_rejected_with_line(self):
-        text = registry_to_csv([(123, 180.0)])
+        text = table_to_csv(table(REGISTRY_DTYPE, [(123, 180.0)]))
         for bad, message in (("456,nan", "non-finite"),
                              ("456,-5", "length_m must be > 0"),
                              ("456,0", "length_m must be > 0"),
-                             ("456,180,1", "wrong field count")):
+                             ("456,180,1", "wrong field count"),
+                             ("123,300", "duplicate mmsi 123")):
             with pytest.raises(ValueError,
                                match=f"^ship registry CSV line 3: {message}"):
                 parse_registry_csv(text + bad + "\n")
 
     def test_lookup_wind_nearest(self):
-        samples = [WindSample(T0, 31.0, 19.0, 1.0, 0.0),
-                   WindSample(T0, 34.0, 29.0, 2.0, 0.0),
-                   WindSample(T0 - 21600, 31.0, 19.0, 9.0, 0.0)]
+        samples = table(WIND_DTYPE, [(T0, 31.0, 19.0, 1.0, 0.0),
+                                     (T0, 34.0, 29.0, 2.0, 0.0),
+                                     (T0 - 21600, 31.0, 19.0, 9.0, 0.0),
+                                     (T0, 31.0, 19.0, 4.0, 0.0)])
         wind = lookup_wind(samples, T0, 31.1, 19.2)
-        assert wind.u == 1.0
+        assert wind.u == 1.0   # the first of two equally near samples
+        with pytest.raises(ValueError, match="no wind samples"):
+            lookup_wind(samples[:0], T0, 31.1, 19.2)
+
+    def test_overpass_speed_from_nearest_record(self):
+        # T0 + 100 comes first in the file and T0 - 100 twice: the earlier
+        # time of two equally near wins, and the first of its two records
+        recs = table(AIS_DTYPE, [(1, T0 + 100, 32.0, 20.0, 20.0, 0.0),
+                                 (1, T0 - 100, 32.0, 20.0, 10.0, 0.0),
+                                 (1, T0 - 100, 32.0, 20.0, 30.0, 0.0),
+                                 (1, T0 - 7200, 32.0, 20.0, 40.0, 0.0)])
+        assert overpass_speed_ms(recs, T0) == 10.0 * KNOT_MS
+        assert overpass_speed_ms(recs, T0 + 60) == 20.0 * KNOT_MS
+        with pytest.raises(ValueError, match="no AIS records"):
+            overpass_speed_ms(recs[:0], T0)
