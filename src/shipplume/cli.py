@@ -20,7 +20,9 @@ from . import models as md
 from . import synth
 from .enhance import moran_enhance, moran_on_high
 from .fileio import write_atomic
-from .grid import GridSpec, grid_to_csv, parse_grid_csv, parse_samples_csv, quality_filter, regrid
+from .grid import (GridSpec, _check_rules, _finite_number, grid_to_csv,
+                   parse_grid_csv, parse_samples_csv, quality_filter, regrid,
+                   table_to_csv)
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
                        read_manifest, scene_images)
 from .sector import sectors_to_geojson
@@ -174,6 +176,9 @@ def cmd_synth(cfg: dict) -> None:
 
 
 def cmd_ingest(cfg: dict) -> None:
+    limits = {"qa_min": cfg["qa-min"], "cloud_max": cfg["cloud-max"]}
+    _check_rules("ingest", limits,
+                 dict.fromkeys(limits, ("finite", _finite_number)))
     refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
     spec = grid_spec(cfg)
     kept = dropped = 0
@@ -182,8 +187,7 @@ def cmd_ingest(cfg: dict) -> None:
             samples = parse_samples_csv((ref.path / "samples.csv").read_text())
         except ValueError as exc:
             raise ValueError(f"scene {ref.path}: {exc}") from None
-        good = quality_filter(samples, qa_min=cfg["qa-min"],
-                              cloud_max=cfg["cloud-max"])
+        good = quality_filter(samples, **limits)
         kept += len(good)
         dropped += len(samples) - len(good)
         write_atomic(ref.path / "grid.csv", grid_to_csv(regrid(good, spec)))
@@ -247,7 +251,7 @@ def cmd_evaluate(cfg: dict) -> None:
                           n_candidates=cfg["n-candidates"], seed=cfg["seed"],
                           base_params=base_params(cfg))
     write_atomic(cfg["report-file"], ev.report_to_json(report))
-    write_atomic(cfg["pr-file"], ev.pr_points_to_csv(report.pr_points))
+    write_atomic(cfg["pr-file"], table_to_csv(report.pr_points))
     write_atomic(cfg["oof-file"], ev.oof_to_csv(dataset, report))
     ap_mean, ap_std = report.summary["ap"]
     print(f"evaluate: model={cfg['model']} folds={cfg['outer-folds']} "

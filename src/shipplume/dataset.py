@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridImage, _parse_rows, fmt_floats
+from .grid import GridImage, _parse_rows, table_to_csv
 from .sector import ShipSector
 from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
 
@@ -168,10 +168,9 @@ LABELS_HEADER = "group_id,row,col,label"
 
 
 def labels_to_csv(labels: dict[tuple[str, int, int], int]) -> str:
-    lines = [LABELS_HEADER]
-    for (gid, r, c) in sorted(labels):
-        lines.append(f"{gid},{r},{c},{labels[(gid, r, c)]}")
-    return "\n".join(lines) + "\n"
+    rows = np.array([(*key, labels[key]) for key in sorted(labels)],
+                    dtype=object).reshape(-1, 4)
+    return table_to_csv(dict(zip(LABELS_HEADER.split(","), rows.T)))
 
 
 def parse_pixel_flags(text: str, header: str, kind: str, flag: str,
@@ -208,22 +207,14 @@ def dataset_header(n_levels: int = 5, n_subsectors: int = 5) -> str:
 
 
 def dataset_to_csv(ds: LabeledDataset) -> str:
-    lines = [dataset_header(ds.n_levels, ds.n_subsectors)]
-    # Column by column, a block of rows at a time: fmt_floats formats each
-    # distinct value of a column once, and most repeat over a ship's pixels.
-    for start in range(0, len(ds), CSV_BLOCK_ROWS):
-        at = slice(start, start + CSV_BLOCK_ROWS)
-        columns = [ds.group_ids[at].tolist(), map(str, ds.rows[at].tolist()),
-                   map(str, ds.cols[at].tolist()), *map(fmt_floats, ds.X[at].T),
-                   fmt_floats(ds.moran_high[at]),
-                   [_LABEL_TEXT[y] for y in ds.labels[at].tolist()]]
-        lines += map(",".join, zip(*columns))
-    return "\n".join([*lines, ""])   # one copy of the text, not two
+    # the named column views, not a packed record copy of the whole table
+    return table_to_csv(dict(zip(
+        dataset_header(ds.n_levels, ds.n_subsectors).split(","),
+        [ds.group_ids, ds.rows, ds.cols, *ds.X.T, ds.moran_high,
+         np.array(["", "0", "1"])[ds.labels + 1]])))
 
 
 _LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
-_LABEL_TEXT = {y: token for token, y in _LABEL_TOKENS.items()}
-CSV_BLOCK_ROWS = 512   # rows dataset_to_csv formats at a time
 
 
 def parse_dataset_csv(text: str) -> LabeledDataset:

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import LabeledDataset, parse_pixel_flags
-from .grid import _finite, fmt_float
+from .grid import _finite, table_to_csv
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, check_params, fit_family,
                      fit_logistic_path, predict_labels, predict_scores,
                      sample_params)
@@ -46,7 +46,7 @@ class CVReport:
     seed: int
     folds: list[FoldResult]
     summary: dict[str, tuple[float, float]]        # metric -> (mean, std)
-    pr_points: list[tuple[float, float, float]]    # (threshold, precision, recall)
+    pr_points: dict[str, np.ndarray]               # pr_curve's table
     # Out-of-fold results, pooled over the outer folds in fold order: the
     # dataset row index, score and binary prediction of every row.
     oof_index: np.ndarray
@@ -123,11 +123,11 @@ def average_precision(labels, scores) -> float:
     return float(np.sum((recall - prev) * precision))
 
 
-def pr_curve(labels, scores) -> list[tuple[float, float, float]]:
-    """(threshold, precision, recall) points of the PR curve."""
-    thr, precision, recall = _sweep(labels, scores)
-    return [(float(t), float(p), float(r))
-            for t, p, r in zip(thr, precision, recall)]
+def pr_curve(labels, scores) -> dict[str, np.ndarray]:
+    """The PR curve as a threshold,precision,recall table: one point per
+    distinct score, thresholds descending."""
+    return dict(zip(("threshold", "precision", "recall"),
+                    _sweep(labels, scores)))
 
 
 def pearson(x, y) -> float:
@@ -323,20 +323,11 @@ def report_to_json(report: CVReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def pr_points_to_csv(points: list[tuple[float, float, float]]) -> str:
-    lines = ["threshold,precision,recall"]
-    for t, p, r in points:
-        lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(r)}")
-    return "\n".join([*lines, ""])
-
-
 def estimates_to_csv(table: ShipTable) -> str:
-    lines = ["mmsi,date,no2_sum,e_s"]
-    for gid, total, e_s in zip(table.group_ids.tolist(),
-                               table.no2_sum.tolist(), table.e_s.tolist()):
-        mmsi, _, date = gid.partition("_")
-        lines.append(f"{mmsi},{date},{fmt_float(total)},{fmt_float(e_s)}")
-    return "\n".join(lines) + "\n"
+    mmsi, _, date = (np.char.partition(table.group_ids, "_") if len(table)
+                     else np.empty((0, 3), str)).T   # partition fails on 0 rows
+    return table_to_csv({"mmsi": mmsi, "date": date,
+                         "no2_sum": table.no2_sum, "e_s": table.e_s})
 
 
 OOF_HEADER = "group_id,row,col,score,pred,label"
@@ -344,13 +335,9 @@ OOF_HEADER = "group_id,row,col,score,pred,label"
 
 def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
     i = report.oof_index
-    lines = [OOF_HEADER]
-    for gid, r, c, s, p, y in zip(ds.group_ids[i].tolist(), ds.rows[i].tolist(),
-                                  ds.cols[i].tolist(), report.oof_score.tolist(),
-                                  report.oof_pred.tolist(),
-                                  ds.labels[i].tolist()):
-        lines.append(f"{gid},{r},{c},{fmt_float(s)},{p},{y}")
-    return "\n".join([*lines, ""])
+    return table_to_csv(dict(zip(OOF_HEADER.split(","), [
+        ds.group_ids[i], ds.rows[i], ds.cols[i], report.oof_score,
+        report.oof_pred, ds.labels[i]])))
 
 
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:

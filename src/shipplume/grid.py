@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 M_PER_DEG_LAT = 111320.0  # meters per degree of latitude
+CSV_BLOCK_ROWS = 512   # rows table_to_csv formats at a time
 
 
 def fmt_float(x: float) -> str:
@@ -259,14 +260,18 @@ def parse_grid_csv(text: str) -> GridImage:
     return GridImage(spec, values, ~np.isnan(values))
 
 
-def table_to_csv(table: np.ndarray) -> str:
-    """CSV of a table: its field names as the header, then one row per
-    record; floats in fmt_float form, each distinct value formatted once."""
-    columns = [fmt_floats(table[name]) if table.dtype[name].kind == "f"
-               else list(map(str, table[name].tolist()))
-               for name in table.dtype.names]
-    return "\n".join([",".join(table.dtype.names),
-                      *map(",".join, zip(*columns))]) + "\n"
+def table_to_csv(columns: dict[str, np.ndarray]) -> str:
+    """CSV of a table given as {name: 1-D array}: the names as the header,
+    then one line per row; a float column in fmt_float form, any other
+    column by str. A block of rows at a time, fmt_floats formats each
+    distinct value of a column once, and most repeat."""
+    lines = [",".join(columns)]
+    for start in range(0, len(next(iter(columns.values()))), CSV_BLOCK_ROWS):
+        at = slice(start, start + CSV_BLOCK_ROWS)
+        lines += map(",".join, zip(*[
+            fmt_floats(col[at]) if col.dtype.kind == "f"
+            else map(str, col[at].tolist()) for col in columns.values()]))
+    return "\n".join([*lines, ""])   # one copy of the text, not two
 
 
 def parse_table(text: str, dtype: np.dtype, kind: str, convert) -> np.ndarray:

@@ -134,7 +134,7 @@ def _threshold_values(feature: str, X: np.ndarray,
 
 
 def _check_classes(y: np.ndarray) -> None:
-    if y.min() == y.max():
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("degenerate labels")
 
 

@@ -25,7 +25,7 @@ from .dataset import labels_to_csv
 from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
-                   _finite_number, fmt_float, grid_to_csv, table_to_csv)
+                   _finite_number, grid_to_csv, table_to_csv)
 from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        scene_images)
@@ -284,12 +284,13 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
         "labels": out_dir / "labels.csv",
     }
     write_atomic(paths["grid"], grid_to_csv(scene.image))
-    write_atomic(paths["samples"], table_to_csv(scene_samples(scene)))
-    write_atomic(paths["ais"], table_to_csv(scene_ais_records(scene)))
-    write_atomic(paths["wind"], table_to_csv(scene_wind_samples(scene)))
-    write_atomic(paths["ships"], table_to_csv(np.array(
-        [(info.mmsi, info.length_m) for info, _, _ in scene.ships],
-        dtype=REGISTRY_DTYPE)))
+    tables = {"samples": scene_samples(scene), "ais": scene_ais_records(scene),
+              "wind": scene_wind_samples(scene), "ships": np.array(
+                  [(info.mmsi, info.length_m) for info, _, _ in scene.ships],
+                  dtype=REGISTRY_DTYPE)}
+    for name, table in tables.items():
+        write_atomic(paths[name], table_to_csv(
+            {field: table[field] for field in table.dtype.names}))
 
     ship_images, _, _ = scene_images(out_dir, scene.t_overpass, params)
     mask_by_mmsi = {info.mmsi: scene.truth.masks[i]
@@ -314,18 +315,20 @@ def generate_corpus(out_dir: str | Path, n_scenes: int,
     """Write a batch of scenes plus a manifest; returns (manifest path,
     total ships). Scene s gets seed seed*100000 + s and its own date. The
     scenes are written through parallel.fork_map, the manifest last."""
+    _check_rules("corpus", {"n_scenes": n_scenes}, {"n_scenes": _COUNT})
     out_dir = Path(out_dir)
     epochs = [start_epoch + s * 86400.0 for s in range(n_scenes)]
+    dirs = [f"scene_{s:03d}" for s in range(n_scenes)]
 
     def write_scene(s: int) -> int:
         scene = generate_scene(SceneConfig(
             seed=seed * 100000 + s, t_overpass=epochs[s],
             mmsi_base=200000001 + 100 * s, **(scene_kwargs or {})))
-        scene_to_inputs(scene, out_dir / f"scene_{s:03d}", params)
+        scene_to_inputs(scene, out_dir / dirs[s], params)
         return len(scene.ships)
 
     total_ships = sum(fork_map(write_scene, n_scenes))
-    lines = [MANIFEST_HEADER] + [f"{s},scene_{s:03d},{fmt_float(t0)}"
-                                 for s, t0 in enumerate(epochs)]
-    write_atomic(out_dir / MANIFEST_NAME, "\n".join(lines) + "\n")
+    write_atomic(out_dir / MANIFEST_NAME, table_to_csv(dict(zip(
+        MANIFEST_HEADER.split(","),
+        [np.arange(n_scenes), np.array(dirs), np.array(epochs)]))))
     return out_dir / MANIFEST_NAME, total_ships

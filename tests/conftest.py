@@ -25,6 +25,11 @@ def table(dtype, rows):
     return np.array([tuple(r) for r in rows], dtype=dtype)
 
 
+def columns(records):
+    """{field name: column} of a record table, as grid.table_to_csv takes it."""
+    return {name: records[name] for name in records.dtype.names}
+
+
 def assert_no_child():
     """This process has no child process, running or exited and unreaped."""
     with pytest.raises(ChildProcessError):

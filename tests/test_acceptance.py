@@ -25,7 +25,7 @@ from shipplume.synth import generate_corpus
 from shipplume.tracks import AIS_DTYPE, WindVector, parse_ais_csv
 from scipy.special import expit
 
-from conftest import columns_dataset, random_image
+from conftest import columns, columns_dataset, random_image
 from logistic_oracle import loss_grad
 from test_enhance import dense_moran_oracle, image_3x3_center9
 from test_evaluation import unrolled_ap_oracle
@@ -347,8 +347,8 @@ def test_criterion_10_format_round_trips(rng):
                           float(rng.uniform(0, 360)))
                          for _ in range(int(rng.integers(1, 4)))],
                         dtype=AIS_DTYPE)
-        text = table_to_csv(recs)
-        assert table_to_csv(parse_ais_csv(text)) == text
+        text = table_to_csv(columns(recs))
+        assert table_to_csv(columns(parse_ais_csv(text))) == text
 
     # label CSV
     for _ in range(n_cases):

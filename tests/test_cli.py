@@ -297,6 +297,42 @@ class TestBadInputs:
         assert len(err.strip().splitlines()) == 1
         assert "samples CSV line 2: non-finite value 'nan'" in err
 
+    @pytest.mark.parametrize("key", ["qa-min", "cloud-max"])
+    def test_nonfinite_quality_limit_exits_1(self, small_corpus, capsys, key):
+        # checked before any grid is written
+        grids = sorted(small_corpus.glob("*/grid.csv"))
+        before = [p.read_bytes() for p in grids]
+        assert run(["ingest", "--scenes-dir", small_corpus, f"--{key}", "nan",
+                    "--grid-rows", "70", "--grid-cols", "70"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: ingest {key.replace('-', '_')} must be finite, got nan"]
+        assert [p.read_bytes() for p in grids] == before
+
+    @pytest.mark.parametrize("n_scenes", ["0", "-3"])
+    def test_no_scenes_exits_1(self, tmp_path, capsys, n_scenes):
+        assert run(["synth", "--scenes-dir", tmp_path / "scenes",
+                    "--n-scenes", n_scenes]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: corpus n_scenes must be an int >= 1, got {n_scenes}"]
+        assert not any(tmp_path.iterdir())
+
+    def test_train_on_a_dataset_without_rows_exits_1(self, small_corpus,
+                                                      tmp_path, capsys):
+        # features writes a header-only dataset when it skips every ship
+        for labels in small_corpus.glob("*/labels.csv"):
+            labels.unlink()   # labels of skipped ships would be orphans
+        dataset = tmp_path / "dataset.csv"
+        assert run(["features", "--scenes-dir", small_corpus,
+                    "--dataset-file", dataset, "--min-speed-kt", "100"]) == 0
+        assert dataset.read_text() == dataset_header() + "\n"
+        capsys.readouterr()
+        for model in ("no2", "moran", "moran-high", "logistic", "gbt"):
+            assert run(["train", "--dataset-file", dataset, "--model", model,
+                        "--model-file", tmp_path / "model.json"]) == 1
+            assert capsys.readouterr().err.strip().splitlines() == [
+                "error: degenerate labels"]
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("cell, message", [
         ("inf", "grid-csv line 6: infinite value"),
         ("x", "grid-csv line 6: could not convert string to float: 'x'"),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dataset_csv_oracle as oracle
-from shipplume import dataset
+from shipplume import dataset, grid
 from shipplume.dataset import (FEATURE_BASE, LabeledDataset,
                                dataset_to_csv, parse_dataset_csv, read_dataset,
                                write_dataset)
@@ -72,16 +72,16 @@ def datasets(draw):
                           n_subsectors=n_subsectors)
 
 
-@given(datasets(), st.sampled_from([1, 2, 3, 7, dataset.CSV_BLOCK_ROWS]))
+@given(datasets(), st.sampled_from([1, 2, 3, 7, grid.CSV_BLOCK_ROWS]))
 @settings(max_examples=100, deadline=1000, derandomize=True)
 def test_writer_text_equals_oracle(ds, block_rows):
-    with mock.patch.object(dataset, "CSV_BLOCK_ROWS", block_rows):
+    with mock.patch.object(grid, "CSV_BLOCK_ROWS", block_rows):
         assert dataset_to_csv(ds) == oracle.dataset_to_csv(ds)
 
 
 def test_writer_text_equals_oracle_across_a_block_boundary():
     rng = np.random.default_rng(3)
-    n = dataset.CSV_BLOCK_ROWS * 2 + 5
+    n = grid.CSV_BLOCK_ROWS * 2 + 5
     ship = np.repeat(rng.normal(size=(n // 50 + 1, 5)), 50, axis=0)[:n]
     X = np.column_stack([rng.normal(size=(n, 2)), ship,
                          np.eye(10)[rng.integers(0, 10, n)]])

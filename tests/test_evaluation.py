@@ -184,7 +184,10 @@ class TestNestedCv:
                            base_params={"max_iter": 50})
         scores = report.oof_score
         labels = ds.labels[report.oof_index]
-        assert report.pr_points == pr_curve(labels, scores)
+        curve = pr_curve(labels, scores)
+        assert list(report.pr_points) == list(curve)
+        assert all(np.array_equal(report.pr_points[name], curve[name])
+                   for name in curve)
 
     def test_too_few_groups(self, rng):
         ds = grouped_dataset(rng, n_groups=3)

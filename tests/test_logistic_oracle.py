@@ -9,7 +9,8 @@ import pytest
 import logistic_oracle as oracle
 from shipplume import evaluation, models, parallel
 from shipplume.evaluation import (average_precision, nested_cv, oof_to_csv,
-                                  pr_points_to_csv, report_to_json)
+                                  report_to_json)
+from shipplume.grid import table_to_csv
 from shipplume.models import fit_logistic_path
 
 from conftest import columns_dataset
@@ -149,7 +150,7 @@ def reference_scores(family, X, y, aux, candidates, seed, inner_splits):
 
 def texts(ds, report):
     return (report_to_json(report), oof_to_csv(ds, report),
-            pr_points_to_csv(report.pr_points), report.splits)
+            table_to_csv(report.pr_points), report.splits)
 
 
 @pytest.mark.parametrize("family, base", [

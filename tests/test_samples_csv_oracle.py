@@ -12,6 +12,8 @@ from shipplume.synth import (SceneConfig, generate_scene, scene_ais_records,
                              scene_samples, scene_wind_samples)
 from shipplume.tracks import AIS_DTYPE, REGISTRY_DTYPE, WIND_DTYPE
 
+from conftest import columns
+
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16,
            9.999999999999999e15, 1e-5, 0.1, 1.0, 511.0, float("nan"),
            float("inf"), -float("inf")]
@@ -54,7 +56,7 @@ def oracle_text(table):
        .flatmap(tables))
 @settings(max_examples=200, deadline=1000, derandomize=True)
 def test_writer_text_equals_oracle(table):
-    assert table_to_csv(table) == oracle_text(table)
+    assert table_to_csv(columns(table)) == oracle_text(table)
 
 
 def test_writer_text_equals_oracle_on_a_scene():
@@ -65,4 +67,4 @@ def test_writer_text_equals_oracle_on_a_scene():
                          for info, _, _ in scene.ships], dtype=REGISTRY_DTYPE)
     for table in (samples, scene_ais_records(scene),
                   scene_wind_samples(scene), registry):
-        assert table_to_csv(table) == oracle_text(table)
+        assert table_to_csv(columns(table)) == oracle_text(table)

@@ -10,7 +10,7 @@ from shipplume.tracks import (AIS_DTYPE, KNOT_MS, REGISTRY_DTYPE, WIND_DTYPE,
                               overpass_speed_ms, parse_ais_csv,
                               parse_registry_csv, parse_wind_csv, wind_shift)
 
-from conftest import table
+from conftest import columns, table
 
 T0 = 1554120000.0
 
@@ -262,22 +262,24 @@ class TestExtremeTracks:
 class TestCsvFormats:
     def test_ais_round_trip(self, rng):
         recs = straight_records(times=[T0 - 600 * k for k in range(12, -1, -1)])
-        text = table_to_csv(recs)
-        assert table_to_csv(parse_ais_csv(text)) == text
+        text = table_to_csv(columns(recs))
+        assert table_to_csv(columns(parse_ais_csv(text))) == text
 
     def test_wind_round_trip(self):
         samples = table(WIND_DTYPE, [(T0, 31.5, 19.5, 3.25, -1.5),
                                      (T0, 34.2, 29.5, 3.25, -1.5)])
-        text = table_to_csv(samples)
-        assert table_to_csv(parse_wind_csv(text)) == text
+        text = table_to_csv(columns(samples))
+        assert table_to_csv(columns(parse_wind_csv(text))) == text
 
     def test_registry_round_trip(self):
-        text = table_to_csv(table(REGISTRY_DTYPE, [(123, 180.0), (456, 250.5)]))
+        text = table_to_csv(columns(table(REGISTRY_DTYPE,
+                                          [(123, 180.0), (456, 250.5)])))
         parsed = parse_registry_csv(text)
-        assert table_to_csv(table(REGISTRY_DTYPE, sorted(parsed.items()))) == text
+        assert table_to_csv(columns(table(
+            REGISTRY_DTYPE, sorted(parsed.items())))) == text
 
     def test_ais_bad_rows_rejected_with_line(self):
-        text = table_to_csv(straight_records()[:1])
+        text = table_to_csv(columns(straight_records()[:1]))
         for bad, message in (("1,1554120000,nan,20,16,90", "non-finite"),
                              ("1,1554120000,32,20,inf,90", "non-finite"),
                              ("1,1554120000,32,20,16,90,0", "wrong field count"),
@@ -293,7 +295,8 @@ class TestCsvFormats:
         assert parsed[1]["heading_deg"] == 511
 
     def test_wind_bad_rows_rejected_with_line(self):
-        text = table_to_csv(table(WIND_DTYPE, [(T0, 31.5, 19.5, 3.25, -1.5)]))
+        text = table_to_csv(columns(table(WIND_DTYPE,
+                                          [(T0, 31.5, 19.5, 3.25, -1.5)])))
         for bad, message in (("1554120000,31.5,19.5,nan,-1.5", "non-finite"),
                              ("1554120000,31.5,19.5,3.25", "wrong field count")):
             with pytest.raises(ValueError,
@@ -301,7 +304,7 @@ class TestCsvFormats:
                 parse_wind_csv(text + bad + "\n")
 
     def test_registry_bad_rows_rejected_with_line(self):
-        text = table_to_csv(table(REGISTRY_DTYPE, [(123, 180.0)]))
+        text = table_to_csv(columns(table(REGISTRY_DTYPE, [(123, 180.0)])))
         for bad, message in (("456,nan", "non-finite"),
                              ("456,-5", "length_m must be > 0"),
                              ("456,0", "length_m must be > 0"),
