@@ -24,7 +24,7 @@ from .grid import (GridSpec, _check_rules, _finite_number, grid_to_csv,
                    parse_grid_csv, parse_samples_csv, quality_filter, regrid,
                    table_to_csv)
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
-                       read_manifest, scene_images)
+                       map_scenes, read_manifest)
 from .sector import sectors_to_geojson
 
 _GBT, _LOGISTIC = md.DEFAULT_GBT_PARAMS, md.DEFAULT_LOGISTIC_PARAMS
@@ -198,10 +198,8 @@ def cmd_ingest(cfg: dict) -> None:
 def cmd_sectors(cfg: dict) -> None:
     params = pipeline_params(cfg)
     refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
-    sectors = []
-    for ref in refs:
-        images, _, _ = scene_images(ref.path, ref.t_overpass, params)
-        sectors += [im.sector for im in images]
+    parts = map_scenes(refs, params, lambda ims, *_: [im.sector for im in ims])
+    sectors = [sector for _, part in parts for sector in part]
     write_atomic(cfg["sectors-file"], sectors_to_geojson(sectors))
     print(f"sectors: scenes={len(refs)} sectors={len(sectors)} "
           f"out={cfg['sectors-file']}")

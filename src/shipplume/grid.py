@@ -226,21 +226,30 @@ def parse_grid_csv(text: str) -> GridImage:
     """Parse grid-csv; a nan cell is invalid, and an infinite or unparsable
     cell or a repeated or unknown header key is rejected with its line."""
     header = dict.fromkeys("lat_min lon_min cell_size n_rows n_cols".split())
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
+    body: list[tuple[int, str]] = []
+    bad_key = None
     for k, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             if header.get(key, "") is not None:  # unknown, or read before
-                raise ValueError(f"grid-csv line {k}: repeated or unknown "
-                                 f"header #{key}=")
+                bad_key = (f"grid-csv line {k}: repeated or unknown "
+                           f"header #{key}=")
+                break   # reported after a bad row above it
             header[key] = value
         elif line.strip():
+            body.append((k, line))
+    try:   # one cast of every token; line by line only to name a bad one
+        values = np.array(",".join(line for _, line in body).split(",")
+                          if body else [], dtype=float)
+    except ValueError:
+        for k, line in body:
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise ValueError(f"grid-csv line {k}: {exc}") from None
-            row_lines.append(k)
+        raise
+    if bad_key:
+        raise ValueError(bad_key)
     fields = {}
     for key, value in header.items():
         if value is None:
@@ -250,12 +259,13 @@ def parse_grid_csv(text: str) -> GridImage:
         except ValueError as exc:
             raise ValueError(f"grid-csv header #{key}=: {exc}") from None
     spec = GridSpec(**fields)
-    if len(rows) != spec.n_rows or any(len(r) != spec.n_cols for r in rows):
+    if len(body) != spec.n_rows or any(line.count(",") != spec.n_cols - 1
+                                       for _, line in body):
         raise ValueError("grid-csv body does not match declared shape")
-    values = np.array(rows, dtype=float)
+    values = values.reshape(spec.n_rows, spec.n_cols)
     inf_rows = np.nonzero(np.isinf(values).any(axis=1))[0]
     if inf_rows.size:
-        raise ValueError(f"grid-csv line {row_lines[inf_rows[0]]}: "
+        raise ValueError(f"grid-csv line {body[inf_rows[0]][0]}: "
                          "infinite value")
     return GridImage(spec, values, ~np.isnan(values))
 

@@ -9,6 +9,7 @@ and pixels.
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
 from .enhance import moran_enhance, moran_on_high
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, GridImage, _check_rules,
                    _finite, _finite_number, _parse_rows, crop, parse_grid_csv)
+from .parallel import fork_map
 from .sector import build_sector, normalize, pixels_in_sector
 from .tracks import (ShipInfo, extreme_tracks, interpolate_track,
                      lookup_wind, mean_position, overpass_speed_ms,
@@ -165,51 +167,71 @@ def read_scene_dir(path: str | Path):
     records = parse_ais_csv((path / "ais.csv").read_text())
     wind = parse_wind_csv((path / "wind.csv").read_text())
     registry = parse_registry_csv((path / "ships.csv").read_text())
-    labels = None
     labels_path = path / "labels.csv"
-    if labels_path.exists():
-        labels = parse_labels_csv(labels_path.read_text())
+    labels = (parse_labels_csv(labels_path.read_text())
+              if labels_path.exists() else None)
     return image, records, wind, registry, labels
 
 
-def scene_images(path: Path, t_overpass: float, params: PipelineParams):
-    """(images, skipped, labels) of one scene directory: the one pass from
-    its files through build_ship_images; any ValueError names the scene."""
+def scene_images(path: Path, t_overpass: float, params: PipelineParams,
+                 finish=lambda *scene: scene):
+    """finish(images, skipped, labels), by default that tuple, of the one pass
+    from a scene directory through build_ship_images; errors name the scene."""
     try:
         image, records, wind, registry, labels = read_scene_dir(path)
-        return (*build_ship_images(image, records, wind, registry, t_overpass,
-                                   params), labels)
+        return finish(*build_ship_images(image, records, wind, registry,
+                                         t_overpass, params), labels)
     except ValueError as exc:
         raise ValueError(f"scene {path}: {exc}") from None
 
 
+def map_scenes(refs: list[SceneRef], params: PipelineParams, finish):
+    """(ref, scene_images(..., finish)) of each scene in manifest order, by one
+    fork_map job each; a scene's error is raised when the iteration gets to it."""
+    def job(k: int):
+        try:
+            return scene_images(refs[k].path, refs[k].t_overpass, params,
+                                finish), None
+        except Exception as exc:  # raised below, in manifest order
+            return None, exc
+    for ref, (part, error) in zip(refs, fork_map(job, len(refs))):
+        if error is not None:
+            raise error
+        yield ref, part
+
+
 def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
                               ) -> tuple[LabeledDataset, dict[str, int]]:
-    """Assemble the feature dataset for every scene listed in a manifest.
+    """The feature dataset of every scene in a manifest, each scene assembled
+    with its own labels.csv (which may label only its pixels), then stably
+    sorted by group_id: one ship on one UTC day, so a ship imaged in two
+    scenes of a day is rejected, naming both. No labels.csv: all unlabeled."""
+    shape = {"n_levels": params.n_levels, "n_subsectors": params.n_subsectors}
 
-    A group_id is one ship on one UTC day, so a ship imaged in two scenes of
-    the same day is rejected, naming both scene directories."""
-    refs = read_manifest(manifest_path)
-    all_images: list[ShipImage] = []
-    all_labels: dict[tuple[str, int, int], int] = {}
+    def rows(images, skipped, labels):
+        return (assemble(images, labels or {}, **shape),
+                [im.group_id for im in images], skipped, labels is not None)
+
+    parts, counts, scene_of = [assemble([], **shape)], Counter(), {}
     have_labels = False
-    counts: dict[str, int] = {}
-    scene_of: dict[str, Path] = {}
-    for ref in refs:
-        images, skipped, labels = scene_images(ref.path, ref.t_overpass,
-                                               params)
-        for img in images:
-            if img.group_id in scene_of:
-                raise ValueError(f"group_id {img.group_id} occurs in scenes "
-                                 f"{scene_of[img.group_id]} and {ref.path}")
-            scene_of[img.group_id] = ref.path
-        all_images.extend(images)
-        for reason, n in skipped.items():
-            counts[reason] = counts.get(reason, 0) + n
-        if labels is not None:
-            have_labels = True
-            all_labels.update(labels)
-    ds = assemble(all_images, all_labels if have_labels else None,
-                  n_levels=params.n_levels, n_subsectors=params.n_subsectors)
-    counts["ships"] = len(all_images)
-    return ds, counts
+    for ref, (part, group_ids, skipped, labelled) in map_scenes(
+            read_manifest(manifest_path), params, rows):
+        for gid in group_ids:
+            if gid in scene_of:
+                raise ValueError(f"group_id {gid} occurs in scenes "
+                                 f"{scene_of[gid]} and {ref.path}")
+            scene_of[gid] = ref.path
+        counts.update(skipped)
+        parts.append(part)
+        have_labels |= labelled
+    # parts are in group_id order, no group_id in two: join their runs in order
+    runs = sorted((gid, k, lo, lo + n) for k, p in enumerate(parts)
+                  for gid, lo, n in zip(*np.unique(
+                      p.group_ids, return_index=True, return_counts=True)))
+    ds = LabeledDataset(n_dropped=sum(p.n_dropped for p in parts), **shape, **{
+        name: np.concatenate([getattr(parts[0], name)] + [
+            getattr(parts[k], name)[lo:hi] for _, k, lo, hi in runs])
+        for name in ("group_ids", "rows", "cols", "X", "moran_high", "labels")})
+    if not have_labels:
+        ds.labels[:] = -1
+    return ds, {**counts, "ships": len(scene_of)}

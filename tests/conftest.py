@@ -1,7 +1,18 @@
+import contextlib
 import os
+import warnings
 
 import numpy as np
 import pytest
+
+# hypothesis's pytest plugin imports this module while it reports a failing
+# test, and its libcst import raises a DeprecationWarning (mypy_extensions)
+# that filterwarnings = ["error"] would turn into an INTERNALERROR ending the
+# whole run; imported once here with that warning ignored, it stays loaded
+# (without libcst, hypothesis reports failures without it)
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from shipplume.cli import main
 from shipplume.dataset import LabeledDataset

@@ -652,6 +652,46 @@ class TestBadInputs:
             f"{tmp_path / 'scene_0'} and {tmp_path / 'scene_1'}"]
         assert not dataset.exists()
 
+    def test_masked_labelled_pixel_is_an_orphan_of_its_scene(self, tmp_path,
+                                                             capsys):
+        # cloud-masked cells inside a labelled plume: 15% of every grid's
+        # cells become nan, labels.csv stays as synth wrote it
+        scenes = tmp_path / "scenes"
+        assert run(["synth", "--scenes-dir", scenes, "--seed", "3",
+                    "--n-scenes", "4", "--emission-scale", "2e-6"]) == 0
+        rng = np.random.default_rng(0)
+        for grid in sorted(scenes.glob("scene_*/grid.csv")):
+            lines = grid.read_text().splitlines()
+            body = np.array([line.split(",") for line in lines[5:]],
+                            dtype=object)
+            body[rng.random(body.shape) < 0.15] = "nan"
+            grid.write_text("\n".join([*lines[:5], *map(",".join, body)])
+                            + "\n")
+        dataset = tmp_path / "dataset.csv"
+        assert run(["features", "--scenes-dir", scenes,
+                    "--dataset-file", dataset]) == 1
+        key = "200000001_2019-04-01,8,9"
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: scene {scenes / 'scene_000'}: orphan label: {key}"]
+        labels = (scenes / "scene_000" / "labels.csv").read_text()
+        assert f"\n{key},1\n" in labels
+        assert not dataset.exists()
+
+    def test_label_of_another_scenes_pixel_is_an_orphan(self, small_corpus,
+                                                        tmp_path, capsys):
+        # scene 0's labels.csv also names a plume pixel of scene 1's ship
+        moved = (small_corpus / "scene_001" / "labels.csv").read_text(
+            ).splitlines()[1]
+        labels = small_corpus / "scene_000" / "labels.csv"
+        labels.write_text(labels.read_text() + moved + "\n")
+        dataset = tmp_path / "dataset.csv"
+        assert run(["features", "--scenes-dir", small_corpus,
+                    "--dataset-file", dataset]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: scene {small_corpus / 'scene_000'}: orphan label: "
+            f"{moved.rsplit(',', 1)[0]}"]
+        assert not dataset.exists()
+
 
 class TestWriteAtomic:
     def test_creates_parents_and_no_tmp_left(self, tmp_path):

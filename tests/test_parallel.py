@@ -198,12 +198,15 @@ def test_no_thread_started_and_no_multiprocessing(tmp_path, monkeypatch,
                          "--pr-file", str(tmp_path / "pr.csv"),
                          "--oof-file", str(tmp_path / "oof.csv")]),
                     (3, ["synth", "--scenes-dir", str(tmp_path / "scenes"),
-                         "--n-scenes", "3"])):
+                         "--n-scenes", "3"]),
+                    (2, ["features", "--scenes-dir", str(tmp_path / "scenes"),
+                         "--dataset-file", str(tmp_path / "features.csv")])):
         monkeypatch.setattr(parallel, "_cpu_count", lambda: n)
         assert main(argv) == 0
         assert threading.active_count() == threads
         assert_no_child()
-    assert forks == [threads] * 3  # one evaluate worker, two synth workers
+    # one evaluate worker, two synth workers, one features worker
+    assert forks == [threads] * 4
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, shipplume.cli; "
          "print('multiprocessing' in sys.modules)"], capture_output=True,
