@@ -116,21 +116,21 @@ def wind_direction_features(wind: WindVector) -> tuple[float, float]:
 
 
 def assemble(images: list[ShipImage],
-             labels: dict[tuple[str, int, int], int] | None = None,
+             labels: dict[str, np.ndarray] | None = None,
              n_levels: int = 5, n_subsectors: int = 5) -> LabeledDataset:
     """One row per sector pixel, groups ordered by group_id.
 
     When a label table is given, listed pixels take their label and the rest
     default to 0; a label keyed to a pixel that was never assembled raises
-    "orphan label". Without a table every row is unlabeled (-1). Rows with
-    any non-finite feature are dropped and counted.
+    "orphan label" (the smallest such key). Without a table every row is
+    unlabeled (-1). Rows with any non-finite feature are dropped and counted.
     """
     n_base = len(FEATURE_BASE)
     n_feat = n_base + n_levels + n_subsectors
-    keys: list[tuple[str, int, int]] = []
+    images = sorted(images, key=lambda im: im.group_id)
     X_parts = [np.zeros((0, n_feat))]
     mh_parts = [np.zeros(0)]
-    for im in sorted(images, key=lambda im: im.group_id):
+    for im in images:
         r, c = im.pixels.T
         X = np.zeros((len(r), n_feat))
         X[:, 0] = im.moran.values[r, c]
@@ -142,24 +142,57 @@ def assemble(images: list[ShipImage],
         X[at, n_base + n_levels - 1 + im.sub_sector] = 1.0
         X_parts.append(X)
         mh_parts.append(im.moran_high.values[r, c])
-        keys += [(im.group_id, row, col) for row, col in im.pixels.tolist()]
-    if labels is None:
-        y = np.full(len(keys), -1)
-    else:
-        orphans = set(labels) - set(keys)
-        if orphans:
-            gid, r, c = sorted(orphans)[0]
-            raise ValueError(f"orphan label: {gid},{r},{c}")
-        y = np.array([labels.get(k, 0) for k in keys], dtype=int)
+    keys = pixel_table(images, [im.pixels for im in images])
+    y = np.full(len(keys["row"]), -1)
+    if labels is not None:
+        ids, at = key_join(labels, keys)
+        if np.any(at < 0):
+            i = np.flatnonzero(at < 0)[np.argmin(ids[at < 0])]
+            raise ValueError("orphan label: " + ",".join(
+                str(labels[name][i]) for name in PIXEL_KEY))
+        y[:] = 0
+        y[at] = labels["label"]
     X = np.concatenate(X_parts)
     mh = np.concatenate(mh_parts)
     keep = np.isfinite(X).all(axis=1) & np.isfinite(mh)
     return LabeledDataset(
-        group_ids=np.array([k[0] for k in keys], dtype=str)[keep],
-        rows=np.array([k[1] for k in keys], dtype=int)[keep],
-        cols=np.array([k[2] for k in keys], dtype=int)[keep],
-        X=X[keep], moran_high=mh[keep], labels=y[keep], n_levels=n_levels,
+        *(keys[name][keep] for name in PIXEL_KEY), X=X[keep],
+        moran_high=mh[keep], labels=y[keep], n_levels=n_levels,
         n_subsectors=n_subsectors, n_dropped=int(np.sum(~keep)))
+
+
+# --- pixel keys: tables {name: column} with the PIXEL_KEY columns -----------
+
+PIXEL_KEY = ("group_id", "row", "col")
+
+
+def pixel_table(images: list[ShipImage],
+                pixels: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """The PIXEL_KEY columns of each image's (row, col) pixels, in turn."""
+    rows, cols = np.concatenate([np.zeros((0, 2), dtype=int), *pixels]).T
+    return {"group_id": np.array([im.group_id for im in images], dtype=str)
+            .repeat([len(p) for p in pixels]), "row": rows, "col": cols}
+
+
+def key_join(table: dict[str, np.ndarray],
+             into: dict[str, np.ndarray] | None = None):
+    """(ids, at) of a table's keys: ids ascend in Python tuple order (a str
+    group_id, then row and col as ints, however wide either is) and are
+    equal for equal keys; at holds each key's position in the table `into`,
+    whose keys are unique, or -1 (always without into)."""
+    n, ranks = len(table["row"]), []
+    for name in PIXEL_KEY:   # each value's rank among the column's values
+        values = np.concatenate([t[name] for t in (table, into)
+                                 if t is not None]).tolist()
+        rank = dict(zip(sorted(set(values)), range(len(values))))
+        ranks.append(np.fromiter(map(rank.get, values), int, len(values)))
+    order = np.lexsort(ranks[::-1])   # by group_id, then row, then col
+    new = np.diff(np.array(ranks)[:, order], prepend=-1).any(axis=0)
+    ids = np.empty(len(order), dtype=int)
+    ids[order] = np.cumsum(new) - 1
+    where = np.full(len(ids), -1)
+    where[ids[n:]] = np.arange(len(ids) - n)
+    return ids[:n], where[ids[:n]]
 
 
 # --- file formats ---------------------------------------------------------
@@ -167,37 +200,64 @@ def assemble(images: list[ShipImage],
 LABELS_HEADER = "group_id,row,col,label"
 
 
-def labels_to_csv(labels: dict[tuple[str, int, int], int]) -> str:
-    rows = np.array([(*key, labels[key]) for key in sorted(labels)],
-                    dtype=object).reshape(-1, 4)
-    return table_to_csv(dict(zip(LABELS_HEADER.split(","), rows.T)))
+def labels_to_csv(labels: dict[str, np.ndarray]) -> str:
+    """The CSV of a label table (the LABELS_HEADER columns) in key order."""
+    order = np.argsort(key_join(labels)[0])
+    return table_to_csv({name: labels[name][order]
+                         for name in LABELS_HEADER.split(",")})
 
 
-def parse_pixel_flags(text: str, header: str, kind: str, flag: str,
-                      check=None) -> dict[tuple[str, int, int], int]:
-    """{(group_id, row, col): flag} from a CSV whose rows start with the
-    pixel key and whose `flag` column holds 0 or 1; a repeated key is
-    rejected, check(fields), if given, vets the other columns, and any error
-    names the file kind and the line number."""
-    at = header.split(",").index(flag)
-    out: dict[tuple[str, int, int], int] = {}
+def parse_pixel_csv(text: str, header: str, kind: str, flag: str, check=None,
+                    dataset: LabeledDataset | None = None):
+    """(table, at) of a CSV whose rows start with the pixel key and end with
+    a label: its key and `flag` columns, and each key's dataset row (-1
+    without a dataset). On a line a repeated key is rejected, then a flag
+    other than 0 or 1, then what check(fields) rejects, then with a dataset
+    a key it lacks or a label it disagrees with. The first faulty line's
+    first error is raised, naming the file kind and the line."""
+    at_flag = header.split(",").index(flag)
+    keys, done = [], []   # up to the first line failing a check of its own
 
     def add(fields: list[str]) -> None:
-        key = (fields[0], int(fields[1]), int(fields[2]))
-        if key in out:
-            raise ValueError(f"duplicate key {','.join(fields[:3])}")
-        if fields[at] not in ("0", "1"):
+        keys.append((fields[0], int(fields[1]), int(fields[2])))
+        if fields[at_flag] not in ("0", "1"):
             raise ValueError(f"{flag} must be 0 or 1")
         if check is not None:
             check(fields)
-        out[key] = int(fields[at])
+        done.append((int(fields[at_flag]), int(fields[-1])))
 
-    _parse_rows(text, header, kind, add)
-    return out
+    try:
+        _parse_rows(text, header, kind, add)
+        error = None
+    except ValueError as exc:
+        error = exc
+    table = dict(zip(PIXEL_KEY, np.array(keys, dtype=object).reshape(-1, 3).T))
+    ids, at = key_join(table, None if dataset is None else dict(zip(
+        PIXEL_KEY, (dataset.group_ids, dataset.rows, dataset.cols))))
+    table[flag], labels = np.array(done, dtype=int).reshape(-1, 2).T
+    # the first rule each line breaks: 1 a key seen on a line before it,
+    # then with a dataset 2 a key the dataset lacks or 3 another label
+    n, fault = len(done), np.zeros(len(ids), dtype=int)
+    if dataset is not None:
+        ds_label = np.r_[dataset.labels, 0][at[:n]]   # at -1 reads the 0
+        fault[:n] = np.where(at[:n] < 0, 2, 3 * (ds_label != labels))
+    fault[np.setdiff1d(np.arange(len(ids)),
+                       np.unique(ids, return_index=True)[1])] = 1
+    if fault.any():
+        i = int(np.argmax(fault > 0))
+        k, line = [(k, ln) for k, ln in enumerate(text.splitlines(), 1)
+                   if ln.strip()][i + 1]
+        key, label = ",".join(line.split(",")[:3]), line.split(",")[-1]
+        raise ValueError(f"{kind} CSV line {k}: " + [
+            f"duplicate key {key}", f"key {key} not in the dataset",
+            f"label {label} disagrees with the dataset"][fault[i] - 1])
+    if error is not None:
+        raise error
+    return table, at
 
 
-def parse_labels_csv(text: str) -> dict[tuple[str, int, int], int]:
-    return parse_pixel_flags(text, LABELS_HEADER, "labels", "label")
+def parse_labels_csv(text: str) -> dict[str, np.ndarray]:
+    return parse_pixel_csv(text, LABELS_HEADER, "labels", "label")[0]
 
 
 def dataset_header(n_levels: int = 5, n_subsectors: int = 5) -> str:

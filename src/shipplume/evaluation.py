@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import LabeledDataset, parse_pixel_flags
+from .dataset import LabeledDataset, parse_pixel_csv
 from .grid import _finite, table_to_csv
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, check_params, fit_family,
                      fit_logistic_path, predict_labels, predict_scores,
@@ -343,23 +343,17 @@ def oof_to_csv(ds: LabeledDataset, report: CVReport) -> str:
 def oof_predictions(ds: LabeledDataset, text: str) -> np.ndarray:
     """The binary predictions of an out-of-fold CSV in dataset row order;
     its rows must be exactly the dataset's, each with the dataset's label."""
-    keys = list(zip(ds.group_ids.tolist(), ds.rows.tolist(), ds.cols.tolist()))
-    labels = dict(zip(keys, ds.labels.tolist()))
-
     def check(fields: list[str]) -> None:
         _finite(fields[3])
         if fields[5] not in ("0", "1"):
             raise ValueError("label must be 0 or 1")
-        key = (fields[0], int(fields[1]), int(fields[2]))
-        if key not in labels:
-            raise ValueError(f"key {','.join(fields[:3])} not in the dataset")
-        if int(fields[5]) != labels[key]:
-            raise ValueError(f"label {fields[5]} disagrees with the dataset")
 
-    table = parse_pixel_flags(text, OOF_HEADER, "out-of-fold", "pred",
-                              check=check)
-    try:
-        return np.array([table[key] for key in keys], dtype=int)
-    except KeyError as exc:
-        gid, r, c = exc.args[0]
-        raise ValueError(f"missing prediction for {gid},{r},{c}") from None
+    table, at = parse_pixel_csv(text, OOF_HEADER, "out-of-fold", "pred",
+                                check, ds)
+    preds = np.full(len(ds), -1)
+    preds[at] = table["pred"]
+    if np.any(preds < 0):
+        i = int(np.argmax(preds < 0))
+        raise ValueError("missing prediction for "
+                         f"{ds.group_ids[i]},{ds.rows[i]},{ds.cols[i]}")
+    return preds

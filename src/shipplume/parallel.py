@@ -13,13 +13,14 @@ def _cpu_count() -> int:
 
 
 def _run(task, jobs) -> list:
-    """[(k, task(k) or the exception it raised)] up to the first exception."""
+    """[(k, raised, task(k) or the exception it raised)] up to the first
+    exception: a returned exception is a result like any other."""
     done = []
     for k in jobs:
         try:
-            done.append((k, task(k)))
+            done.append((k, False, task(k)))
         except Exception as exc:  # fork_map raises it in job order
-            return done + [(k, exc)]
+            return done + [(k, True, exc)]
     return done
 
 
@@ -43,7 +44,7 @@ def fork_map(task, n_jobs: int) -> list:
                         os._exit(0)
             pids.append(pid)
         done = _run(task, range(0, n_jobs, n))
-        for w, pipe in enumerate(pipes, 1):  # to EOF: (k, result) pairs
+        for w, pipe in enumerate(pipes, 1):  # to EOF: _run's triples
             try:
                 done += pickle.loads(pipe.read())
             except (EOFError, pickle.UnpicklingError):
@@ -55,8 +56,8 @@ def fork_map(task, n_jobs: int) -> list:
         for pid in pids:  # one that has exited is a zombie until reaped
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    results = [result for _, result in sorted(done, key=lambda d: d[0])]
-    for result in results:  # a job a process skipped follows its exception
-        if isinstance(result, Exception):
+    done.sort(key=lambda d: d[0])
+    for _, raised, result in done:  # a skipped job follows its exception
+        if raised:
             raise result
-    return results
+    return [result for _, _, result in done]

@@ -205,11 +205,12 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
     """The feature dataset of every scene in a manifest, each scene assembled
     with its own labels.csv (which may label only its pixels), then stably
     sorted by group_id: one ship on one UTC day, so a ship imaged in two
-    scenes of a day is rejected, naming both. No labels.csv: all unlabeled."""
+    scenes of a day is rejected, naming both. A scene without labels.csv
+    reads as all 0 if another scene has one, else as all unlabeled."""
     shape = {"n_levels": params.n_levels, "n_subsectors": params.n_subsectors}
 
     def rows(images, skipped, labels):
-        return (assemble(images, labels or {}, **shape),
+        return (assemble(images, labels, **shape),
                 [im.group_id for im in images], skipped, labels is not None)
 
     parts, counts, scene_of = [assemble([], **shape)], Counter(), {}
@@ -232,6 +233,6 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
         name: np.concatenate([getattr(parts[0], name)] + [
             getattr(parts[k], name)[lo:hi] for _, k, lo, hi in runs])
         for name in ("group_ids", "rows", "cols", "X", "moran_high", "labels")})
-    if not have_labels:
-        ds.labels[:] = -1
+    if have_labels:
+        ds.labels[ds.labels < 0] = 0
     return ds, {**counts, "ships": len(scene_of)}

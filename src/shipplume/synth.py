@@ -21,7 +21,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.special import erf
 
-from .dataset import labels_to_csv
+from .dataset import labels_to_csv, pixel_table
 from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
@@ -296,14 +296,15 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
     mask_by_mmsi = {info.mmsi: scene.truth.masks[i]
                     for i, (info, _, _) in enumerate(scene.ships)}
     spec = scene.image.spec
-    labels: dict[tuple[str, int, int], int] = {}
+    plumes = []
     for im in ship_images:
         mask = mask_by_mmsi[im.info.mmsi]
         off_r = round((im.crop.spec.lat_min - spec.lat_min) / spec.cell_size)
         off_c = round((im.crop.spec.lon_min - spec.lon_min) / spec.cell_size)
         plume = mask[off_r + im.pixels[:, 0], off_c + im.pixels[:, 1]]
-        for r, c in im.pixels[plume].tolist():
-            labels[(im.group_id, r, c)] = 1
+        plumes.append(im.pixels[plume])
+    labels = pixel_table(ship_images, plumes)
+    labels["label"] = np.ones(len(labels["row"]), dtype=int)
     write_atomic(paths["labels"], labels_to_csv(labels))
     return paths
 

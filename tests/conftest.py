@@ -31,6 +31,22 @@ def columns_dataset(group_ids, X, moran_high, labels, rows=None, cols=None):
         labels=np.array([-1 if y is None else y for y in labels], dtype=int))
 
 
+def label_table(labels):
+    """The label table {column: array} of {(group_id, row, col): label}."""
+    gids, rows, cols = zip(*labels) if labels else ((), (), ())
+    return {"group_id": np.array(gids, dtype=object),
+            "row": np.array(rows, dtype=object),
+            "col": np.array(cols, dtype=object),
+            "label": np.array(list(labels.values()), dtype=int)}
+
+
+def label_dict(table):
+    """{(group_id, row, col): label} of a label table."""
+    return dict(zip(zip(*(table[name].tolist()
+                          for name in ("group_id", "row", "col"))),
+                    table["label"].tolist()))
+
+
 def table(dtype, rows):
     """A record table (e.g. tracks.AIS_DTYPE) from an iterable of rows."""
     return np.array([tuple(r) for r in rows], dtype=dtype)

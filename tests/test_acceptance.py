@@ -25,7 +25,7 @@ from shipplume.synth import generate_corpus
 from shipplume.tracks import AIS_DTYPE, WindVector, parse_ais_csv
 from scipy.special import expit
 
-from conftest import columns, columns_dataset, random_image
+from conftest import columns, columns_dataset, label_table, random_image
 from logistic_oracle import loss_grad
 from test_enhance import dense_moran_oracle, image_3x3_center9
 from test_evaluation import unrolled_ap_oracle
@@ -356,7 +356,7 @@ def test_criterion_10_format_round_trips(rng):
                   int(rng.integers(0, 18)), int(rng.integers(0, 18))):
                  int(rng.integers(0, 2))
                  for _ in range(int(rng.integers(1, 5)))}
-        text = labels_to_csv(table)
+        text = labels_to_csv(label_table(table))
         assert labels_to_csv(parse_labels_csv(text)) == text
 
     # dataset CSV

@@ -368,20 +368,47 @@ class TestBadInputs:
          "line 4: key 999_2020-01-01,3,3 not in the dataset"),
         (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,0"],
          "line 3: label 0 disagrees with the dataset"),
+        # a group_id that extends a dataset id is another key
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-02,0,0,0.9,1,1",
+          "111_2019-04-01x,0,0,0.1,0,1"],
+         "line 4: key 111_2019-04-01x,0,0 not in the dataset"),
+        # rows compare as numbers, messages quote the fields as written
+        (["111_2019-04-01,0,0,0.9,1,1", "111_2019-04-01,00,0,0.1,0,1"],
+         "line 3: duplicate key 111_2019-04-01,00,0"),
     ], ids=["pred_2", "repeated_key", "field_count", "score_abc", "score_nan",
-            "label_7", "label_x", "foreign_key", "label_disagrees"])
+            "label_7", "label_x", "foreign_key", "label_disagrees",
+            "extended_group_id", "repeated_padded_key"])
     def test_bad_out_of_fold_rows_exit_1(self, tmp_path, capsys, rows,
                                          message):
+        assert self.proxy_report_on(tmp_path, rows) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: out-of-fold CSV " + message]
+
+    @staticmethod
+    def proxy_report_on(tmp_path, rows):
+        """proxy-report's exit code on revisit_dataset's two rows with an
+        out-of-fold file of the given rows."""
         dataset = revisit_dataset(tmp_path / "dataset.csv")
         oof = tmp_path / "oof.csv"
         oof.write_text("\n".join(["group_id,row,col,score,pred,label", *rows])
                        + "\n")
-        assert run(["proxy-report", "--dataset-file", dataset,
+        return run(["proxy-report", "--dataset-file", dataset,
                     "--predictions", oof,
-                    "--proxy-file", tmp_path / "proxy.csv"]) == 1
-        err = capsys.readouterr().err
-        assert err.strip().splitlines() == [
-            "error: out-of-fold CSV " + message]
+                    "--proxy-file", tmp_path / "proxy.csv"])
+
+    def test_out_of_fold_file_without_a_dataset_row_exits_1(self, tmp_path,
+                                                            capsys):
+        # reported after the whole file, without a line number
+        assert self.proxy_report_on(
+            tmp_path, ["111_2019-04-01,0,0,0.9,1,1"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: missing prediction for 111_2019-04-02,0,0"]
+        assert not (tmp_path / "proxy.csv").exists()
+
+    def test_signed_and_padded_out_of_fold_rows_match(self, tmp_path):
+        rows = ["111_2019-04-01,+0,00,0.9,1,1", "111_2019-04-02,00,-0,0.9,1,1"]
+        assert self.proxy_report_on(tmp_path, rows) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "proxy-report"])
     @pytest.mark.parametrize("ship, message", [

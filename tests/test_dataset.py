@@ -12,6 +12,8 @@ from shipplume.grid import GridImage, GridSpec
 from shipplume.sector import ShipSector
 from shipplume.tracks import KNOT_MS, ShipInfo, Track, WindVector
 
+from conftest import label_dict, label_table
+
 T0 = 1554120000.0
 
 
@@ -113,8 +115,7 @@ class TestAssemble:
 
     def test_feature_recompute_oracle(self):
         im = tiny_ship_image(n=3)
-        labels = {("1_2019-04-01", 0, 1): 1}
-        ds = assemble([im], labels=labels)
+        ds = assemble([im], labels=label_table({("1_2019-04-01", 0, 1): 1}))
         names = feature_names()
         assert len(ds.rows) == 3
         for i, feats in enumerate(ds.X):
@@ -140,7 +141,7 @@ class TestAssemble:
     def test_orphan_label_error(self):
         with pytest.raises(ValueError, match="orphan label"):
             assemble([tiny_ship_image(n=2)],
-                     labels={("1_2019-04-01", 3, 3): 1})
+                     labels=label_table({("1_2019-04-01", 3, 3): 1}))
 
     def test_nonfinite_rows_dropped_and_counted(self):
         im = tiny_ship_image(n=3, bad_pixel=(1, 1))
@@ -150,7 +151,7 @@ class TestAssemble:
 
     def test_label_on_dropped_pixel_is_not_orphan(self):
         im = tiny_ship_image(n=3, bad_pixel=(1, 1))
-        ds = assemble([im], labels={("1_2019-04-01", 1, 1): 1})
+        ds = assemble([im], labels=label_table({("1_2019-04-01", 1, 1): 1}))
         assert len(ds.rows) == 2
 
     def test_groups_contiguous_and_constant(self):
@@ -167,7 +168,7 @@ class TestAssemble:
 class TestCsvFormats:
     def test_dataset_round_trip_bytes(self, rng):
         im = tiny_ship_image(n=4)
-        ds = assemble([im], labels={("1_2019-04-01", 0, 1): 1})
+        ds = assemble([im], labels=label_table({("1_2019-04-01", 0, 1): 1}))
         text = dataset_to_csv(ds)
         again = dataset_to_csv(parse_dataset_csv(text))
         assert text == again
@@ -182,13 +183,13 @@ class TestCsvFormats:
     def test_labels_round_trip(self):
         table = {("1_2019-04-01", 0, 1): 1, ("1_2019-04-01", 2, 2): 0,
                  ("7_2019-05-02", 3, 0): 1}
-        text = labels_to_csv(table)
-        assert parse_labels_csv(text) == table
+        text = labels_to_csv(label_table(table))
+        assert label_dict(parse_labels_csv(text)) == table
         assert labels_to_csv(parse_labels_csv(text)) == text
 
     def test_dataset_bad_values_rejected_with_line(self):
-        text = dataset_to_csv(assemble([tiny_ship_image(n=3)],
-                                       labels={("1_2019-04-01", 0, 1): 1}))
+        labels = label_table({("1_2019-04-01", 0, 1): 1})
+        text = dataset_to_csv(assemble([tiny_ship_image(n=3)], labels=labels))
         lines = text.splitlines()
         # fields: group_id,row,col, 17 features (3-19), moran_high (20), label;
         # ship_speed is field 8 and ship_length field 9; line 2 holds pixel

@@ -69,6 +69,21 @@ def test_first_failing_job_raises(n_cpus, error, failing):
     assert_no_child()
 
 
+def test_returned_exception_is_a_result(n_cpus):
+    results = fork_map(lambda k: ValueError(f"value {k}"), 3)
+    assert [type(r) for r in results] == [ValueError] * 3
+    assert [str(r) for r in results] == ["value 0", "value 1", "value 2"]
+
+    def task(k):  # a returned exception before and after a raised one
+        if k == 2:
+            raise KeyError(k)
+        return OSError(k)
+
+    with pytest.raises(KeyError):
+        fork_map(task, 5)
+    assert_no_child()
+
+
 def test_io_error_of_a_worker_raised_as_is(n_cpus, tmp_path):
     def task(k):
         return (tmp_path / f"job_{k}.txt").read_text() if k == 5 else k

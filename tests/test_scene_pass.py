@@ -32,15 +32,15 @@ def corpora(tmp_path_factory):
 def one_assemble(scenes):
     """dataset_to_csv of one assemble of every scene's ships, with the
     scenes' labels merged: the serial pass the scene jobs must reproduce."""
-    images, labels, labelled = [], {}, False
+    images, tables = [], []
     for ref in read_manifest(scenes / "scenes.csv"):
         ship_images, _, scene_labels = scene_images(ref.path, ref.t_overpass,
                                                     PipelineParams())
         images += ship_images
-        if scene_labels is not None:
-            labelled = True
-            labels.update(scene_labels)
-    return dataset_to_csv(assemble(images, labels if labelled else None))
+        tables += [] if scene_labels is None else [scene_labels]
+    return dataset_to_csv(assemble(images, {
+        name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+        if tables else None))
 
 
 def outputs(scenes, out, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from shipplume.synth import (SceneConfig, generate_corpus, generate_scene,
 from shipplume.tracks import WindVector
 
 import geometry_oracle as geo
+from conftest import label_dict
 from test_sector import lonlat
 
 BIG_GRID = GridSpec(lat_min=31.0, lon_min=19.0, cell_size=0.045,
@@ -134,7 +135,7 @@ class TestSceneToInputs:
         scene = generate_scene(quiet_config(n_ships=2, margin_deg=0.8,
                                             emission_scale=2e-6))
         paths = scene_to_inputs(scene, tmp_path / "scene")
-        labels = parse_labels_csv(paths["labels"].read_text())
+        labels = label_dict(parse_labels_csv(paths["labels"].read_text()))
         assert labels and all(v == 1 for v in labels.values())
 
         image, records, wind, registry, _ = read_scene_dir(tmp_path / "scene")

@@ -18,6 +18,8 @@ from shipplume.evaluation import (ShipTable, estimates_to_csv, oof_to_csv,
                                   pr_curve)
 from shipplume.grid import table_to_csv
 
+from conftest import label_table
+
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16,
            9.999999999999999e15, -1e16, 1e-5, 0.1, 1.0, 0.5, 1e300]
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -54,11 +56,12 @@ def label_tables(draw):
 @settings(max_examples=150, deadline=1000, derandomize=True)
 def test_labels_text_equals_oracle(labels, block_rows):
     with blocks_of(block_rows):
-        assert labels_to_csv(labels) == oracle.labels_to_csv(labels)
+        assert labels_to_csv(label_table(labels)) == oracle.labels_to_csv(
+            labels)
 
 
 def test_empty_labels_are_the_header():
-    assert labels_to_csv({}) == oracle.labels_to_csv({}) == (
+    assert labels_to_csv(label_table({})) == oracle.labels_to_csv({}) == (
         "group_id,row,col,label\n")
 
 
@@ -156,7 +159,7 @@ def test_texts_equal_oracle_across_block_boundaries():
     gids = [f"{200000001 + i // 40}_2019-04-01" for i in range(LONG)]
     values = rng.choice([*SPECIAL, *rng.normal(size=50)], LONG)
     labels = {(g, i, i % 7): i % 2 for i, g in enumerate(gids)}
-    assert labels_to_csv(labels) == oracle.labels_to_csv(labels)
+    assert labels_to_csv(label_table(labels)) == oracle.labels_to_csv(labels)
     scores = rng.normal(size=LONG)   # a point per row
     y = (scores > 0.3).astype(int)
     assert len(pr_curve(y, scores)["threshold"]) == LONG
