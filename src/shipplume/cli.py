@@ -24,7 +24,7 @@ from .grid import (GridSpec, _check_rules, _finite_number, grid_to_csv,
                    parse_grid_csv, parse_samples_csv, quality_filter, regrid,
                    table_to_csv)
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
-                       map_scenes, read_manifest)
+                       map_scenes, read_manifest, scene_images)
 from .sector import sectors_to_geojson
 
 _GBT, _LOGISTIC = md.DEFAULT_GBT_PARAMS, md.DEFAULT_LOGISTIC_PARAMS
@@ -198,7 +198,8 @@ def cmd_ingest(cfg: dict) -> None:
 def cmd_sectors(cfg: dict) -> None:
     params = pipeline_params(cfg)
     refs = read_manifest(Path(cfg["scenes-dir"]) / "scenes.csv")
-    parts = map_scenes(refs, params, lambda ims, *_: [im.sector for im in ims])
+    parts = map_scenes(refs, lambda ref: [im.sector for im in scene_images(
+        ref.path, ref.t_overpass, params)[0]])
     sectors = [sector for _, part in parts for sector in part]
     write_atomic(cfg["sectors-file"], sectors_to_geojson(sectors))
     print(f"sectors: scenes={len(refs)} sectors={len(sectors)} "

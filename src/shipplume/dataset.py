@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,49 +212,38 @@ def parse_pixel_csv(text: str, header: str, kind: str, flag: str, check=None,
                     dataset: LabeledDataset | None = None):
     """(table, at) of a CSV whose rows start with the pixel key and end with
     a label: its key and `flag` columns, and each key's dataset row (-1
-    without a dataset). On a line a repeated key is rejected, then a flag
-    other than 0 or 1, then what check(fields) rejects, then with a dataset
-    a key it lacks or a label it disagrees with. The first faulty line's
-    first error is raised, naming the file kind and the line."""
+    without a dataset). Each line is checked in turn: the ints of its key,
+    a key seen on a line before it, a flag other than 0 or 1, what
+    check(fields) rejects, then with a dataset a key it lacks or a label it
+    disagrees with; the first error names the file kind and the line."""
     at_flag = header.split(",").index(flag)
-    keys, done = [], []   # up to the first line failing a check of its own
+    # seen: {key: flag} in file order. Keys hold one str per group_id, not
+    # one per line, which keeps the reader's peak memory near its input's.
+    seen, at, row_of = {}, [], None if dataset is None else dict(zip(zip(
+        map(sys.intern, dataset.group_ids.tolist()), dataset.rows.tolist(),
+        dataset.cols.tolist()), range(len(dataset))))
 
     def add(fields: list[str]) -> None:
-        keys.append((fields[0], int(fields[1]), int(fields[2])))
+        key = (sys.intern(fields[0]), int(fields[1]), int(fields[2]))
+        if key in seen:
+            raise ValueError(f"duplicate key {','.join(fields[:3])}")
         if fields[at_flag] not in ("0", "1"):
             raise ValueError(f"{flag} must be 0 or 1")
         if check is not None:
             check(fields)
-        done.append((int(fields[at_flag]), int(fields[-1])))
+        i = -1
+        if row_of is not None and (i := row_of.get(key, -1)) < 0:
+            raise ValueError(f"key {','.join(fields[:3])} not in the dataset")
+        if i >= 0 and dataset.labels[i] != int(fields[-1]):
+            raise ValueError(f"label {fields[-1]} disagrees with the dataset")
+        seen[key] = int(fields[at_flag])
+        at.append(i)
 
-    try:
-        _parse_rows(text, header, kind, add)
-        error = None
-    except ValueError as exc:
-        error = exc
-    table = dict(zip(PIXEL_KEY, np.array(keys, dtype=object).reshape(-1, 3).T))
-    ids, at = key_join(table, None if dataset is None else dict(zip(
-        PIXEL_KEY, (dataset.group_ids, dataset.rows, dataset.cols))))
-    table[flag], labels = np.array(done, dtype=int).reshape(-1, 2).T
-    # the first rule each line breaks: 1 a key seen on a line before it,
-    # then with a dataset 2 a key the dataset lacks or 3 another label
-    n, fault = len(done), np.zeros(len(ids), dtype=int)
-    if dataset is not None:
-        ds_label = np.r_[dataset.labels, 0][at[:n]]   # at -1 reads the 0
-        fault[:n] = np.where(at[:n] < 0, 2, 3 * (ds_label != labels))
-    fault[np.setdiff1d(np.arange(len(ids)),
-                       np.unique(ids, return_index=True)[1])] = 1
-    if fault.any():
-        i = int(np.argmax(fault > 0))
-        k, line = [(k, ln) for k, ln in enumerate(text.splitlines(), 1)
-                   if ln.strip()][i + 1]
-        key, label = ",".join(line.split(",")[:3]), line.split(",")[-1]
-        raise ValueError(f"{kind} CSV line {k}: " + [
-            f"duplicate key {key}", f"key {key} not in the dataset",
-            f"label {label} disagrees with the dataset"][fault[i] - 1])
-    if error is not None:
-        raise error
-    return table, at
+    _parse_rows(text, header, kind, add)
+    table = dict(zip(PIXEL_KEY, np.array(list(seen), dtype=object)
+                     .reshape(-1, 3).T))
+    table[flag] = np.array(list(seen.values()), dtype=int)
+    return table, np.array(at, dtype=int)
 
 
 def parse_labels_csv(text: str) -> dict[str, np.ndarray]:
@@ -281,48 +271,42 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
     """Parse a dataset CSV; a row with a non-finite feature or moran_high
     value, a ship length <= 0, a negative ship speed, a label other than
     0, 1 or empty, or a (group_id, row, col) key seen before, is rejected."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    numbers = [k for k, ln in enumerate(lines, 1) if ln.strip()]
+    if not numbers:
         raise ValueError("empty dataset CSV")
-    header = lines[0][1].split(",")
-    n_levels = sum(1 for c in header if c.startswith("level_"))
-    n_subsectors = sum(1 for c in header if c.startswith("subsector_"))
-    if header != dataset_header(n_levels, n_subsectors).split(","):
-        raise ValueError("bad dataset CSV header")
+    names = lines[numbers[0] - 1].split(",")
+    del lines   # _parse_rows splits the text again
+    n_levels = sum(1 for c in names if c.startswith("level_"))
+    n_subsectors = sum(1 for c in names if c.startswith("subsector_"))
     n_feat = len(FEATURE_BASE) + n_levels + n_subsectors
-    values = np.empty((len(lines) - 1, n_feat + 1))
-    gids, rows, cols, labels, keys = [], [], [], [], set()
-    for i, (k, ln) in enumerate(lines[1:]):
-        p = ln.split(",")
-        try:
-            if len(p) != n_feat + 5:
-                raise ValueError("wrong field count")
-            key = (p[0], int(p[1]), int(p[2]))
-            values[i] = [float(t) for t in p[3:4 + n_feat]]
-            if p[-1] not in _LABEL_TOKENS:
-                raise ValueError(f"bad label {p[-1]!r}")
-            if key in keys:
-                raise ValueError(f"duplicate key {','.join(p[:3])}")
-        except ValueError as exc:
-            raise ValueError(f"dataset CSV line {k}: {exc}") from None
-        keys.add(key)
-        gids.append(p[0])
-        rows.append(key[1])
-        cols.append(key[2])
-        labels.append(_LABEL_TOKENS[p[-1]])
+    values, labels = np.empty((len(numbers) - 1, n_feat + 1)), {}
+
+    def add(p: list[str]) -> None:
+        key = (p[0], int(p[1]), int(p[2]))
+        values[len(labels)] = [float(t) for t in p[3:4 + n_feat]]
+        if p[-1] not in _LABEL_TOKENS:
+            raise ValueError(f"bad label {p[-1]!r}")
+        if key in labels:
+            raise ValueError(f"duplicate key {','.join(p[:3])}")
+        labels[key] = _LABEL_TOKENS[p[-1]]
+
+    # labels then holds every line's key, in file order
+    _parse_rows(text, dataset_header(n_levels, n_subsectors), "dataset", add)
+    gids, rows, cols = list(zip(*labels)) or [()] * 3
     length = values[:, FEATURE_BASE.index("ship_length")]
     speed = values[:, FEATURE_BASE.index("ship_speed")]
     for bad, message in ((~np.isfinite(values).all(axis=1), "non-finite value"),
                          (length <= 0, "ship_length must be > 0"),
                          (speed < 0, "ship_speed must be >= 0")):
         if bad.any():
-            k = lines[int(np.argmax(bad)) + 1][0]
+            k = numbers[int(np.argmax(bad)) + 1]
             raise ValueError(f"dataset CSV line {k}: {message}")
     return LabeledDataset(group_ids=np.array(gids, dtype=str),
                           rows=np.array(rows, dtype=int),
                           cols=np.array(cols, dtype=int), X=values[:, :n_feat],
                           moran_high=values[:, n_feat],
-                          labels=np.array(labels, dtype=int),
+                          labels=np.array(list(labels.values()), dtype=int),
                           n_levels=n_levels, n_subsectors=n_subsectors)
 
 

@@ -2,8 +2,8 @@
 registry) to sector geometry, enhanced crops, and normalized pixel features.
 
 The feature-extraction CLI, the sector writer and the synthetic-scene label
-writer all run through scene_images, so each sees the same ships, sectors
-and pixels.
+writer all run read_scene_dir, then build_ship_images, so each sees the same
+ships, sectors and pixels; only feature extraction reads labels.csv.
 """
 
 from __future__ import annotations
@@ -160,43 +160,34 @@ def read_manifest(manifest_path: str | Path) -> list[SceneRef]:
                                           t_overpass=_finite(f[2])))
 
 
-def read_scene_dir(path: str | Path):
-    """Parse one scene directory: raster, AIS, wind, registry, optional labels."""
-    path = Path(path)
-    image = parse_grid_csv((path / "grid.csv").read_text())
-    records = parse_ais_csv((path / "ais.csv").read_text())
-    wind = parse_wind_csv((path / "wind.csv").read_text())
-    registry = parse_registry_csv((path / "ships.csv").read_text())
-    labels_path = path / "labels.csv"
-    labels = (parse_labels_csv(labels_path.read_text())
-              if labels_path.exists() else None)
-    return image, records, wind, registry, labels
+def read_scene_dir(path: Path):
+    """Parse one scene directory's raster, AIS, wind and registry files."""
+    return (parse_grid_csv((path / "grid.csv").read_text()),
+            parse_ais_csv((path / "ais.csv").read_text()),
+            parse_wind_csv((path / "wind.csv").read_text()),
+            parse_registry_csv((path / "ships.csv").read_text()))
 
 
-def scene_images(path: Path, t_overpass: float, params: PipelineParams,
-                 finish=lambda *scene: scene):
-    """finish(images, skipped, labels), by default that tuple, of the one pass
-    from a scene directory through build_ship_images; errors name the scene."""
-    try:
-        image, records, wind, registry, labels = read_scene_dir(path)
-        return finish(*build_ship_images(image, records, wind, registry,
-                                         t_overpass, params), labels)
-    except ValueError as exc:
-        raise ValueError(f"scene {path}: {exc}") from None
+def scene_images(path: Path, t_overpass: float, params: PipelineParams):
+    """(images, skipped) of the one pass from a scene directory through
+    build_ship_images."""
+    return build_ship_images(*read_scene_dir(path), t_overpass, params)
 
 
-def map_scenes(refs: list[SceneRef], params: PipelineParams, finish):
-    """(ref, scene_images(..., finish)) of each scene in manifest order, by one
-    fork_map job each; a scene's error is raised when the iteration gets to it."""
+def map_scenes(refs: list[SceneRef], run):
+    """(ref, run(ref)) of each scene in manifest order, by one fork_map job
+    each; a scene's error, a ValueError naming the scene, is raised when the
+    iteration gets to it."""
     def job(k: int):
         try:
-            return scene_images(refs[k].path, refs[k].t_overpass, params,
-                                finish), None
+            return run(refs[k])
+        except ValueError as exc:
+            return ValueError(f"scene {refs[k].path}: {exc}")
         except Exception as exc:  # raised below, in manifest order
-            return None, exc
-    for ref, (part, error) in zip(refs, fork_map(job, len(refs))):
-        if error is not None:
-            raise error
+            return exc
+    for ref, part in zip(refs, fork_map(job, len(refs))):
+        if isinstance(part, Exception):
+            raise part
         yield ref, part
 
 
@@ -209,14 +200,19 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
     reads as all 0 if another scene has one, else as all unlabeled."""
     shape = {"n_levels": params.n_levels, "n_subsectors": params.n_subsectors}
 
-    def rows(images, skipped, labels):
+    def rows(ref: SceneRef):
+        tables = read_scene_dir(ref.path)
+        labels_path = ref.path / "labels.csv"
+        labels = (parse_labels_csv(labels_path.read_text())
+                  if labels_path.exists() else None)
+        images, skipped = build_ship_images(*tables, ref.t_overpass, params)
         return (assemble(images, labels, **shape),
                 [im.group_id for im in images], skipped, labels is not None)
 
     parts, counts, scene_of = [assemble([], **shape)], Counter(), {}
     have_labels = False
     for ref, (part, group_ids, skipped, labelled) in map_scenes(
-            read_manifest(manifest_path), params, rows):
+            read_manifest(manifest_path), rows):
         for gid in group_ids:
             if gid in scene_of:
                 raise ValueError(f"group_id {gid} occurs in scenes "

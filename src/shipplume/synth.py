@@ -292,7 +292,7 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
         write_atomic(paths[name], table_to_csv(
             {field: table[field] for field in table.dtype.names}))
 
-    ship_images, _, _ = scene_images(out_dir, scene.t_overpass, params)
+    ship_images, _ = scene_images(out_dir, scene.t_overpass, params)
     mask_by_mmsi = {info.mmsi: scene.truth.masks[i]
                     for i, (info, _, _) in enumerate(scene.ships)}
     spec = scene.image.spec

@@ -12,7 +12,7 @@ from shipplume.fileio import write_atomic
 from shipplume.pipeline import PipelineParams, read_manifest, scene_images
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
-from conftest import assert_no_child, columns_dataset
+from conftest import BRIGHT, assert_no_child, columns_dataset
 
 
 def run(argv):
@@ -719,6 +719,35 @@ class TestBadInputs:
             f"{moved.rsplit(',', 1)[0]}"]
         assert not dataset.exists()
 
+    @pytest.mark.parametrize("wind_rows", [True, False],
+                             ids=["wind", "header_only_wind"])
+    def test_only_features_reads_labels(self, small_corpus, tmp_path, capsys,
+                                        wind_rows):
+        """A malformed labels.csv stops features alone, before any error of
+        the ship pass; sectors, and synth run again into the same
+        directory, do not read it."""
+        scene = small_corpus / "scene_000"
+        labels = scene / "labels.csv"
+        written = labels.read_text()
+        labels.write_text(written + "200000001_2019-04-01,0,0,7\n")
+        if not wind_rows:
+            wind = scene / "wind.csv"
+            wind.write_text(wind.read_text().splitlines()[0] + "\n")
+        dataset, sectors = tmp_path / "dataset.csv", tmp_path / "sectors.json"
+        assert run(["features", "--scenes-dir", small_corpus,
+                    "--dataset-file", dataset]) == 1
+        assert run(["sectors", "--scenes-dir", small_corpus,
+                    "--sectors-file", sectors]) == (0 if wind_rows else 1)
+        line = len(written.splitlines()) + 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: scene {scene}: labels CSV line {line}: label must be 0 "
+            "or 1", *([] if wind_rows else
+                      [f"error: scene {scene}: no wind samples"])]
+        assert not dataset.exists() and sectors.exists() == wind_rows
+        assert run(["synth", "--scenes-dir", small_corpus, "--n-scenes", "4",
+                    "--seed", "5", *BRIGHT]) == 0
+        assert labels.read_text() == written
+
 
 class TestWriteAtomic:
     def test_creates_parents_and_no_tmp_left(self, tmp_path):
@@ -795,8 +824,8 @@ class TestPipelineCommands:
 
         expected = set()
         for ref in read_manifest(small_corpus / "scenes.csv"):
-            images, _, _ = scene_images(ref.path, ref.t_overpass,
-                                        PipelineParams())
+            images, _ = scene_images(ref.path, ref.t_overpass,
+                                     PipelineParams())
             expected |= {(im.info.mmsi, tuple((lon, lat) for lat, lon
                                               in im.sector.polygon))
                          for im in images}

@@ -210,6 +210,24 @@ class TestCsvFormats:
                                match=f"^dataset CSV line 3: {message}"):
                 parse_dataset_csv(bad)
 
+    @pytest.mark.parametrize("edits, message", [
+        ({3: {1: "0", 21: "2"}}, "line 3: bad label '2'"),
+        ({2: {3: "nan"}, 4: {1: "0"}},
+         "line 4: duplicate key 1_2019-04-01,0,1"),
+    ], ids=["bad_label_before_repeat", "repeat_before_earlier_non_finite"])
+    def test_line_rules_come_first(self, edits, message):
+        """On a line the label token is checked before the repeated key, and
+        every line's own rules before the value rules of the whole table."""
+        lines = dataset_to_csv(assemble([tiny_ship_image(n=3)])).splitlines()
+        for k, tokens in edits.items():   # line k of the file
+            parts = lines[k - 1].split(",")
+            for field, token in tokens.items():
+                parts[field] = token
+            lines[k - 1] = ",".join(parts)
+        with pytest.raises(ValueError) as exc:
+            parse_dataset_csv("\n".join(lines) + "\n")
+        assert str(exc.value) == f"dataset CSV {message}"
+
     def test_zero_ship_speed_accepted(self):
         text = dataset_to_csv(assemble([tiny_ship_image(n=2)], labels=None))
         parts = text.splitlines()[1].split(",")

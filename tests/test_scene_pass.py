@@ -9,7 +9,7 @@ import pytest
 
 from shipplume import parallel
 from shipplume.cli import main
-from shipplume.dataset import assemble, dataset_to_csv
+from shipplume.dataset import assemble, dataset_to_csv, parse_labels_csv
 from shipplume.pipeline import PipelineParams, read_manifest, scene_images
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
@@ -34,10 +34,10 @@ def one_assemble(scenes):
     scenes' labels merged: the serial pass the scene jobs must reproduce."""
     images, tables = [], []
     for ref in read_manifest(scenes / "scenes.csv"):
-        ship_images, _, scene_labels = scene_images(ref.path, ref.t_overpass,
-                                                    PipelineParams())
-        images += ship_images
-        tables += [] if scene_labels is None else [scene_labels]
+        images += scene_images(ref.path, ref.t_overpass, PipelineParams())[0]
+        if (ref.path / "labels.csv").exists():
+            tables.append(parse_labels_csv(
+                (ref.path / "labels.csv").read_text()))
     return dataset_to_csv(assemble(images, {
         name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
         if tables else None))

@@ -105,7 +105,7 @@ class TestGenerateScene:
                               emission_scale=2e-6)
         scene = generate_scene(config)
         paths = scene_to_inputs(scene, tmp_path / "scene")
-        image, records, wind, registry, _ = read_scene_dir(tmp_path / "scene")
+        image, records, wind, registry = read_scene_dir(tmp_path / "scene")
         images, _ = build_ship_images(image, records, wind, registry,
                                       scene.t_overpass, PipelineParams())
         spec = scene.image.spec
@@ -138,7 +138,7 @@ class TestSceneToInputs:
         labels = label_dict(parse_labels_csv(paths["labels"].read_text()))
         assert labels and all(v == 1 for v in labels.values())
 
-        image, records, wind, registry, _ = read_scene_dir(tmp_path / "scene")
+        image, records, wind, registry = read_scene_dir(tmp_path / "scene")
         images, _ = build_ship_images(image, records, wind, registry,
                                       scene.t_overpass, PipelineParams())
         spec = scene.image.spec
@@ -161,7 +161,7 @@ class TestSceneToInputs:
     def test_all_ships_pass_selection(self, tmp_path):
         scene = generate_scene(quiet_config(n_ships=3, margin_deg=0.8))
         scene_to_inputs(scene, tmp_path / "scene")
-        image, records, wind, registry, _ = read_scene_dir(tmp_path / "scene")
+        image, records, wind, registry = read_scene_dir(tmp_path / "scene")
         images, skipped = build_ship_images(image, records, wind, registry,
                                             scene.t_overpass, PipelineParams())
         assert len(images) == 3
