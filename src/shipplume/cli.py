@@ -20,9 +20,8 @@ from . import models as md
 from . import synth
 from .enhance import moran_enhance, moran_on_high
 from .fileio import write_atomic
-from .grid import (GridSpec, _check_rules, _finite_number, grid_to_csv,
-                   parse_grid_csv, parse_samples_csv, quality_filter, regrid,
-                   table_to_csv)
+from .grid import (GridSpec, _check_rules, _finite_number, parse_samples_csv,
+                   quality_filter, read_grid, regrid, table_to_csv, write_grid)
 from .pipeline import (PipelineParams, build_dataset_from_scenes,
                        map_scenes, read_manifest, scene_images)
 from .sector import sectors_to_geojson
@@ -190,7 +189,7 @@ def cmd_ingest(cfg: dict) -> None:
         good = quality_filter(samples, **limits)
         kept += len(good)
         dropped += len(samples) - len(good)
-        write_atomic(ref.path / "grid.csv", grid_to_csv(regrid(good, spec)))
+        write_grid(ref.path / "grid.csv", regrid(good, spec))
     print(f"ingest: scenes={len(refs)} samples_kept={kept} "
           f"samples_dropped={dropped}")
 
@@ -207,22 +206,23 @@ def cmd_sectors(cfg: dict) -> None:
 
 
 def cmd_enhance(cfg: dict) -> None:
-    image = parse_grid_csv(Path(cfg["grid-in"]).read_text())
+    image = read_grid(cfg["grid-in"])
     if cfg["variant"] == "moran":
         out = moran_enhance(image)
     elif cfg["variant"] == "moran-high":
         out = moran_on_high(image)
     else:
         raise ValueError(f"unknown enhancement variant: {cfg['variant']}")
-    write_atomic(cfg["grid-out"], grid_to_csv(out))
+    write_grid(cfg["grid-out"], out)
     print(f"enhance: variant={cfg['variant']} in={cfg['grid-in']} "
           f"out={cfg['grid-out']}")
 
 
 def cmd_features(cfg: dict) -> None:
     manifest = Path(cfg["scenes-dir"]) / "scenes.csv"
-    dataset, counts = build_dataset_from_scenes(manifest, pipeline_params(cfg))
-    ds_mod.write_dataset(cfg["dataset-file"], dataset, write_atomic)
+    dataset, counts, blocks = build_dataset_from_scenes(
+        manifest, pipeline_params(cfg), csv=True)
+    ds_mod.write_dataset(cfg["dataset-file"], dataset, blocks, write_atomic)
     neg, pos = dataset.class_counts
     skips = sum(n for reason, n in counts.items() if reason != "ships")
     print(f"features: ships={counts.get('ships', 0)} skipped={skips} "

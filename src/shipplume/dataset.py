@@ -9,15 +9,14 @@ benchmark; it is not part of the model feature vector.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_with_sidecar, sidecar
 from .grid import GridImage, _parse_rows, table_to_csv
 from .sector import ShipSector
 from .tracks import KNOT_MS, ShipInfo, Track, WindVector, mean_position
@@ -264,13 +263,24 @@ def dataset_to_csv(ds: LabeledDataset) -> str:
          np.array(["", "0", "1"])[ds.labels + 1]])))
 
 
+def csv_blocks(ds: LabeledDataset) -> dict[str, bytes]:
+    """{group_id: its rows' dataset_to_csv lines} of ds in group_id order:
+    the header, then the blocks in group_id order, are the CSV."""
+    data = dataset_to_csv(ds).encode()   # cut at line ends, not per line
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + 1
+    gids, lo = np.unique(ds.group_ids, return_index=True)
+    return {g: data[ends[i]:ends[j]] for g, i, j in
+            zip(gids.tolist(), lo.tolist(), [*lo[1:].tolist(), len(ds)])}
+
+
 _LABEL_TOKENS = {"": -1, "0": 0, "1": 1}
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def parse_dataset_csv(text: str) -> LabeledDataset:
     """Parse a dataset CSV; a row with a non-finite feature or moran_high
-    value, a ship length <= 0, a negative ship speed, a label other than
-    0, 1 or empty, or a (group_id, row, col) key seen before, is rejected."""
+    value, ship_length <= 0, ship_speed < 0, a label other than 0, 1 or
+    empty, a row or col outside int64 or a repeated key is rejected."""
     lines = text.splitlines()
     numbers = [k for k, ln in enumerate(lines, 1) if ln.strip()]
     if not numbers:
@@ -284,6 +294,8 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
 
     def add(p: list[str]) -> None:
         key = (p[0], int(p[1]), int(p[2]))
+        if key[1] not in _INT64 or key[2] not in _INT64:
+            raise ValueError("row and col must fit in int64")
         values[len(labels)] = [float(t) for t in p[3:4 + n_feat]]
         if p[-1] not in _LABEL_TOKENS:
             raise ValueError(f"bad label {p[-1]!r}")
@@ -310,39 +322,40 @@ def parse_dataset_csv(text: str) -> LabeledDataset:
                           n_levels=n_levels, n_subsectors=n_subsectors)
 
 
-def write_dataset(path: str | Path, ds: LabeledDataset, write) -> None:
-    """Write the CSV, then its sidecar <path>.npz, each by write(path, data):
-    the CSV's sha256 and the arrays it parses to (ds must parse back)."""
-    text = dataset_to_csv(ds)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    write(path, text)
-    del text   # the sidecar is streamed to its file without the text held
-    write(f"{path}.npz", lambda fh: np.savez(
-        fh, digest=digest, group_ids=np.array(ds.group_ids.tolist(), dtype=str),
-        rows=ds.rows, cols=ds.cols, labels=ds.labels, n_levels=ds.n_levels,
-        n_subsectors=ds.n_subsectors,
-        values=np.column_stack([ds.X, ds.moran_high])))
+def write_dataset(path: str | Path, ds: LabeledDataset, blocks: list[bytes],
+                  write) -> None:
+    """Write the CSV, ds's header then blocks, its rows' lines in row order
+    (as csv_blocks cuts them); then its sidecar <path>.npz, each by
+    write(path, data): the CSV's sha256 and the arrays it parses to (ds must
+    parse back). blocks is emptied once written, before the sidecar is."""
+    text = [dataset_header(ds.n_levels, ds.n_subsectors).encode() + b"\n",
+            *blocks]
+    arrays = sidecar(text, lambda: {
+        "group_ids": np.array(ds.group_ids.tolist(), dtype=str),
+        "rows": ds.rows, "cols": ds.cols, "labels": ds.labels,
+        "n_levels": ds.n_levels, "n_subsectors": ds.n_subsectors,
+        "values": np.column_stack([ds.X, ds.moran_high])})
+    write(path, lambda fh: fh.writelines(text))
+    del text
+    blocks.clear()
+    write(f"{path}.npz", arrays)
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:
     """The sidecar's arrays if they hold the digest of the CSV file and the
     dtypes and shapes parse_dataset_csv returns, else the file's parse."""
-    data = Path(path).read_bytes()
-    with suppress(Exception):   # any failure is a miss: the parse is right
-        with open(f"{path}.npz", "rb") as fh:   # closed also if np.load fails
-            a = dict(np.load(fh, allow_pickle=False))
+    def load(a: dict) -> LabeledDataset | None:
         n, values = len(a["rows"]), a["values"].copy()   # X.base 2-D
         n_feat = len(FEATURE_BASE) + a["n_levels"] + a["n_subsectors"]
         want = {"group_ids": (f"U{a['group_ids'].itemsize // 4}", (n,)),
                 "rows": (int, (n,)), "cols": (int, (n,)), "labels": (int, (n,)),
                 "values": (float, (n, n_feat + 1)), "n_levels": (int, ()),
                 "n_subsectors": (int, ())}
-        if (a["digest"].item() == hashlib.sha256(data).hexdigest()
-                and all(a[k].dtype == dtype and a[k].shape == shape
-                        for k, (dtype, shape) in want.items())):
+        if all(a[k].dtype == dtype and a[k].shape == shape
+               for k, (dtype, shape) in want.items()):
             return LabeledDataset(
                 group_ids=a["group_ids"], rows=a["rows"], cols=a["cols"],
                 X=values[:, :n_feat], moran_high=values[:, n_feat],
                 labels=a["labels"], n_levels=a["n_levels"].item(),
                 n_subsectors=a["n_subsectors"].item())
-    return parse_dataset_csv(data.decode())
+    return read_with_sidecar(path, load, parse_dataset_csv)

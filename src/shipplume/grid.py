@@ -8,9 +8,12 @@ Invalid cells are excluded from every downstream statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .fileio import read_with_sidecar, sidecar, write_atomic
 
 M_PER_DEG_LAT = 111320.0  # meters per degree of latitude
 CSV_BLOCK_ROWS = 512   # rows table_to_csv formats at a time
@@ -48,7 +51,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be > 0")
-        if self.n_rows < 1 or self.n_cols < 1:
+        if not (_COUNT[1](self.n_rows) and _COUNT[1](self.n_cols)):
             raise ValueError("grid needs at least one row and one column")
 
     @property
@@ -268,6 +271,28 @@ def parse_grid_csv(text: str) -> GridImage:
         raise ValueError(f"grid-csv line {body[inf_rows[0]][0]}: "
                          "infinite value")
     return GridImage(spec, values, ~np.isnan(values))
+
+
+def write_grid(path: str | Path, image: GridImage) -> None:
+    """Write grid_to_csv(image), then its sidecar <path>.npz: spec (lat_min,
+    lon_min, cell_size) and values, nan in every invalid cell."""
+    write_atomic(path, text := grid_to_csv(image))
+    write_atomic(f"{path}.npz", sidecar([text.encode()], lambda: {
+        "spec": np.array(astuple(image.spec)[:3], dtype=float),
+        "values": np.where(image.valid, image.values, np.nan)}))
+
+
+def read_grid(path: str | Path, parse=parse_grid_csv) -> GridImage:
+    """The image of a grid-csv file: parse(text), or the sidecar's if its
+    spec is 3 floats and its values a 2-D float raster without inf."""
+    def load(a: dict) -> GridImage | None:
+        spec, values = a["spec"], a["values"]
+        if (spec.dtype == values.dtype == float and spec.shape == (3,)
+                and values.ndim == 2 and not np.isinf(values).any()):
+            values = np.where(np.isnan(values), np.nan, values)   # parse's nan
+            return GridImage(GridSpec(*spec.tolist(), *values.shape), values,
+                             ~np.isnan(values))
+    return read_with_sidecar(path, load, parse)
 
 
 def table_to_csv(columns: dict[str, np.ndarray]) -> str:

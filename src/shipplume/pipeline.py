@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (LabeledDataset, ShipImage, assemble, parse_labels_csv,
-                      select_ships)
+from .dataset import (LABELS_HEADER, LabeledDataset, ShipImage, assemble,
+                      csv_blocks, parse_labels_csv, select_ships)
 from .enhance import moran_enhance, moran_on_high
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, GridImage, _check_rules,
-                   _finite, _finite_number, _parse_rows, crop, parse_grid_csv)
+                   _finite, _finite_number, _parse_rows, crop, parse_grid_csv,
+                   read_grid)
 from .parallel import fork_map
 from .sector import build_sector, normalize, pixels_in_sector
 from .tracks import (ShipInfo, extreme_tracks, interpolate_track,
@@ -161,8 +162,8 @@ def read_manifest(manifest_path: str | Path) -> list[SceneRef]:
 
 
 def read_scene_dir(path: Path):
-    """Parse one scene directory's raster, AIS, wind and registry files."""
-    return (parse_grid_csv((path / "grid.csv").read_text()),
+    """One scene directory's raster (read_grid), AIS, wind and registry."""
+    return (read_grid(path / "grid.csv", parse_grid_csv),
             parse_ais_csv((path / "ais.csv").read_text()),
             parse_wind_csv((path / "wind.csv").read_text()),
             parse_registry_csv((path / "ships.csv").read_text()))
@@ -192,27 +193,31 @@ def map_scenes(refs: list[SceneRef], run):
 
 
 def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
-                              ) -> tuple[LabeledDataset, dict[str, int]]:
-    """The feature dataset of every scene in a manifest, each scene assembled
+                              csv: bool = False) -> tuple:
+    """(dataset, counts) of every scene in a manifest, each scene assembled
     with its own labels.csv (which may label only its pixels), then stably
     sorted by group_id: one ship on one UTC day, so a ship imaged in two
     scenes of a day is rejected, naming both. A scene without labels.csv
-    reads as all 0 if another scene has one, else as all unlabeled."""
+    reads as all 0 if another scene has one, else as all unlabeled. With
+    csv, the scene jobs also format the rows: a third item, the blocks of
+    dataset.write_dataset."""
     shape = {"n_levels": params.n_levels, "n_subsectors": params.n_subsectors}
+    refs = read_manifest(manifest_path)
+    labelled = {ref.path for ref in refs if (ref.path / "labels.csv").exists()}
+    no_labels = parse_labels_csv(LABELS_HEADER) if labelled else None
 
     def rows(ref: SceneRef):
         tables = read_scene_dir(ref.path)
-        labels_path = ref.path / "labels.csv"
-        labels = (parse_labels_csv(labels_path.read_text())
-                  if labels_path.exists() else None)
+        labels = (parse_labels_csv((ref.path / "labels.csv").read_text())
+                  if ref.path in labelled else no_labels)
         images, skipped = build_ship_images(*tables, ref.t_overpass, params)
-        return (assemble(images, labels, **shape),
-                [im.group_id for im in images], skipped, labels is not None)
+        part = assemble(images, labels, **shape)
+        return (part, [im.group_id for im in images], skipped,
+                csv_blocks(part) if csv else None)
 
     parts, counts, scene_of = [assemble([], **shape)], Counter(), {}
-    have_labels = False
-    for ref, (part, group_ids, skipped, labelled) in map_scenes(
-            read_manifest(manifest_path), rows):
+    blocks = [{}]
+    for ref, (part, group_ids, skipped, part_blocks) in map_scenes(refs, rows):
         for gid in group_ids:
             if gid in scene_of:
                 raise ValueError(f"group_id {gid} occurs in scenes "
@@ -220,7 +225,7 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
             scene_of[gid] = ref.path
         counts.update(skipped)
         parts.append(part)
-        have_labels |= labelled
+        blocks.append(part_blocks)
     # parts are in group_id order, no group_id in two: join their runs in order
     runs = sorted((gid, k, lo, lo + n) for k, p in enumerate(parts)
                   for gid, lo, n in zip(*np.unique(
@@ -229,6 +234,5 @@ def build_dataset_from_scenes(manifest_path: str | Path, params: PipelineParams,
         name: np.concatenate([getattr(parts[0], name)] + [
             getattr(parts[k], name)[lo:hi] for _, k, lo, hi in runs])
         for name in ("group_ids", "rows", "cols", "X", "moran_high", "labels")})
-    if have_labels:
-        ds.labels[ds.labels < 0] = 0
-    return ds, {**counts, "ships": len(scene_of)}
+    result = ds, {**counts, "ships": len(scene_of)}
+    return (*result, [blocks[k][g] for g, k, _, _ in runs]) if csv else result

@@ -121,28 +121,23 @@ def build_sector(ship_track: Track, ext_left: Track, ext_right: Track,
 def _points_in_polygon(plat: np.ndarray, plon: np.ndarray,
                        polygon: tuple[tuple[float, float], ...]) -> np.ndarray:
     """Even-odd membership, inclusive of points on the boundary."""
-    x = np.asarray(plon, dtype=float)
-    y = np.asarray(plat, dtype=float)
-    vy = np.array([p[0] for p in polygon])
-    vx = np.array([p[1] for p in polygon])
+    x, y = np.asarray(plon, dtype=float), np.asarray(plat, dtype=float)
+    vy, vx = np.array(polygon, dtype=float).T
     scale = max(float(np.ptp(vx)), float(np.ptp(vy)), 1e-300)
     eps = 1e-12 * scale
-    inside = np.zeros(x.shape, dtype=bool)
-    on_edge = np.zeros(x.shape, dtype=bool)
-    n = len(polygon)
-    for i in range(n):
-        x1, y1 = vx[i], vy[i]
-        x2, y2 = vx[(i + 1) % n], vy[(i + 1) % n]
-        # ray casting (horizontal ray toward +x)
-        cond = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-        inside ^= cond & (x < xin)
-        # boundary inclusion
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        within = ((x >= min(x1, x2) - eps) & (x <= max(x1, x2) + eps)
-                  & (y >= min(y1, y2) - eps) & (y <= max(y1, y2) + eps))
-        on_edge |= (np.abs(cross) <= eps * scale) & within
+    # edge i (vertex i to i + 1) against every point at index i of axis 0
+    x1, y1, x2, y2 = (v.reshape((-1,) + (1,) * max(x.ndim, y.ndim))
+                      for v in (vx, vy, np.roll(vx, -1), np.roll(vy, -1)))
+    # ray casting (horizontal ray toward +x)
+    cond = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+    inside = np.logical_xor.reduce(cond & (x < xin), axis=0)
+    # boundary inclusion
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    within = ((x >= np.minimum(x1, x2) - eps) & (x <= np.maximum(x1, x2) + eps)
+              & (y >= np.minimum(y1, y2) - eps) & (y <= np.maximum(y1, y2) + eps))
+    on_edge = ((np.abs(cross) <= eps * scale) & within).any(axis=0)
     return inside | on_edge
 
 

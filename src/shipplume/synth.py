@@ -25,7 +25,7 @@ from .dataset import labels_to_csv, pixel_table
 from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
-                   _finite_number, grid_to_csv, table_to_csv)
+                   _finite_number, table_to_csv, write_grid)
 from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        scene_images)
@@ -283,7 +283,7 @@ def scene_to_inputs(scene: Scene, out_dir: str | Path,
         "ships": out_dir / "ships.csv",
         "labels": out_dir / "labels.csv",
     }
-    write_atomic(paths["grid"], grid_to_csv(scene.image))
+    write_grid(paths["grid"], scene.image)
     tables = {"samples": scene_samples(scene), "ais": scene_ais_records(scene),
               "wind": scene_wind_samples(scene), "ships": np.array(
                   [(info.mmsi, info.length_m) for info, _, _ in scene.ships],

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from shipplume import evaluation, parallel
 from shipplume.cli import main, parse_config_file
 from shipplume.dataset import dataset_header, dataset_to_csv, read_dataset
-from shipplume.fileio import write_atomic
+from shipplume.fileio import sidecar, write_atomic
 from shipplume.pipeline import PipelineParams, read_manifest, scene_images
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
@@ -101,6 +102,29 @@ def non_integer_n_rows(lines):
     return ["#n_rows=abc" if ln.startswith("#n_rows=") else ln for ln in lines]
 
 
+def grid_sidecars(grid):
+    """Leave next to grid, in turn, a stale sidecar (of another grid), a
+    damaged one, a foreign one (another file kind's members under the grid
+    text's own digest) and none; yields each one's name. No reader writes
+    a sidecar back."""
+    def npz(text, **arrays):
+        out = io.BytesIO()
+        sidecar([text.encode()], lambda: arrays)(out)
+        return out.getvalue()
+
+    stale = npz("#lat_min=31.5\n", spec=np.array([31.5, 19.5, 0.045]),
+                values=np.ones((2, 2)))
+    path = Path(f"{grid}.npz")
+    for name, data in {"stale": stale, "damaged": stale[:len(stale) // 2],
+                       "foreign": npz(grid.read_text(), rows=np.arange(2)),
+                       "none": None}.items():
+        path.unlink(missing_ok=True)
+        if data is not None:
+            path.write_bytes(data)
+        yield name
+    assert not path.exists()
+
+
 class TestConfig:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -136,11 +160,12 @@ class TestBadInputs:
         grid = tmp_path / "grid.csv"
         grid.write_text("#lat_min=31.5\n#lon_min=19.5\n#n_rows=1\n"
                         "#n_cols=2\n1.0,2.0\n")
-        assert run(["enhance", "--grid-in", grid,
-                    "--grid-out", tmp_path / "out.csv"]) == 1
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "cell_size" in err
+        for _ in grid_sidecars(grid):
+            assert run(["enhance", "--grid-in", grid,
+                        "--grid-out", tmp_path / "out.csv"]) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "cell_size" in err
 
     def test_model_json_without_bias_exits_1(self, tmp_path, capsys):
         dataset = revisit_dataset(tmp_path / "dataset.csv")
@@ -286,6 +311,19 @@ class TestBadInputs:
         assert len(err.strip().splitlines()) == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("field", [1, 2], ids=["row", "col"])
+    def test_key_beyond_int64_exits_1(self, tmp_path, capsys, field):
+        dataset = revisit_dataset(tmp_path / "dataset.csv")
+        lines = dataset.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[field] = "99999999999999999999"
+        dataset.write_text("\n".join([*lines[:2], ",".join(fields)]) + "\n")
+        assert run(["train", "--dataset-file", dataset, "--model", "no2",
+                    "--model-file", tmp_path / "model.json"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: dataset CSV line 3: row and col must fit in int64"]
+        assert not (tmp_path / "model.json").exists()
+
     def test_nonfinite_sample_exits_1(self, small_corpus, capsys):
         samples = small_corpus / "scene_001" / "samples.csv"
         header, first, rest = samples.read_text().split("\n", 2)
@@ -341,11 +379,12 @@ class TestBadInputs:
         grid = tmp_path / "grid.csv"
         grid.write_text("#lat_min=31.5\n#lon_min=19.5\n#cell_size=0.045\n"
                         "#n_rows=2\n#n_cols=2\n1.0," + cell + "\n3.0,4.0\n")
-        assert run(["enhance", "--grid-in", grid,
-                    "--grid-out", tmp_path / "out.csv"]) == 1
-        err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["error: " + message]
-        assert not (tmp_path / "out.csv").exists()
+        for _ in grid_sidecars(grid):
+            assert run(["enhance", "--grid-in", grid,
+                        "--grid-out", tmp_path / "out.csv"]) == 1
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == ["error: " + message]
+            assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("rows, message", [
         (["111_2019-04-01,0,0,0.9,2,1", "111_2019-04-02,0,0,0.9,1,1"],
@@ -620,12 +659,14 @@ class TestBadInputs:
         path = small_corpus / scene / scene_file
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         out = tmp_path / "out"
-        assert run([command, "--scenes-dir", small_corpus,
-                    "--dataset-file", out, "--sectors-file", out]) == 1
-        # one line that names the scene directory, as the manifest gives it
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: scene {small_corpus / scene}: {message}"]
-        assert not out.exists()
+        for _ in grid_sidecars(path) if scene_file == "grid.csv" else [None]:
+            assert run([command, "--scenes-dir", small_corpus,
+                        "--dataset-file", out, "--sectors-file", out]) == 1
+            # one line that names the scene directory, as the manifest
+            # gives it
+            assert capsys.readouterr().err.strip().splitlines() == [
+                f"error: scene {small_corpus / scene}: {message}"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("lat_min", "nan", "lat_min must be finite"),
@@ -654,13 +695,14 @@ class TestBadInputs:
             "scene,dir,t_overpass\n0,scene_0,1554120000.0\n")
         out = tmp_path / "out.csv"
         dataset = tmp_path / "dataset.csv"
-        assert run(["enhance", "--grid-in", grid, "--grid-out", out]) == 1
-        assert run(["features", "--scenes-dir", tmp_path,
-                    "--dataset-file", dataset]) == 1
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {message}", f"error: scene {grid.parent}: {message}"]
-        assert not out.exists()
-        assert not dataset.exists()
+        for _ in grid_sidecars(grid):
+            assert run(["enhance", "--grid-in", grid, "--grid-out", out]) == 1
+            assert run(["features", "--scenes-dir", tmp_path,
+                        "--dataset-file", dataset]) == 1
+            assert capsys.readouterr().err.strip().splitlines() == [
+                f"error: {message}", f"error: scene {grid.parent}: {message}"]
+            assert not out.exists()
+            assert not dataset.exists()
 
     def test_same_day_revisit_exits_1(self, tmp_path, capsys):
         # scene 1 is 100 min after scene 0 and shows the same ships

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import dataset_csv_oracle as oracle
 from shipplume import dataset, grid
 from shipplume.dataset import (FEATURE_BASE, LabeledDataset,
-                               dataset_to_csv, parse_dataset_csv, read_dataset,
-                               write_dataset)
+                               csv_blocks, dataset_to_csv, parse_dataset_csv,
+                               read_dataset, write_dataset)
 from shipplume.fileio import write_atomic
 from shipplume.grid import fmt_float, fmt_floats
 
@@ -183,9 +183,32 @@ def test_sidecar_equals_parser_on_generated_datasets(ds):
     ds.group_ids = ds.group_ids.astype("U40")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
-        write_dataset(path, ds, write_atomic)
+        blocks = [dataset_to_csv(ds).encode().split(b"\n", 1)[1]]
+        write_dataset(path, ds, blocks, write_atomic)
+        assert blocks == []   # handed over: not held while the sidecar is
+        assert path.read_text() == dataset_to_csv(ds)
         parsed = parse_dataset_csv(path.read_text())
         with mock.patch.object(dataset, "parse_dataset_csv") as spy:
             loaded = read_dataset(path)
     assert spy.call_count == 0
     assert outcome(lambda _: loaded, None) == outcome(lambda _: parsed, None)
+
+
+@given(datasets())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_csv_blocks_cut_the_csv_by_group_id(ds):
+    """csv_blocks of a dataset in group_id order: one block per group_id,
+    each its rows' lines, so the header and the blocks are dataset_to_csv."""
+    order = np.argsort(ds.group_ids, kind="stable")
+    ds = LabeledDataset(group_ids=ds.group_ids[order], rows=ds.rows[order],
+                        cols=ds.cols[order], X=ds.X[order],
+                        moran_high=ds.moran_high[order],
+                        labels=ds.labels[order], n_levels=ds.n_levels,
+                        n_subsectors=ds.n_subsectors)
+    blocks = csv_blocks(ds)
+    header, body = dataset_to_csv(ds).encode().split(b"\n", 1)
+    assert sorted(blocks) == sorted(set(ds.group_ids.tolist()))
+    assert b"".join(blocks[g] for g in sorted(blocks)) == body
+    assert all(line.startswith(f"{g},".encode())
+               for g, block in blocks.items()
+               for line in block.splitlines())

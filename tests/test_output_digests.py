@@ -1,8 +1,9 @@
 """The sha256 of every labels, dataset, out-of-fold, report, PR-curve and
 proxy file of a small seeded run: synth (5 scenes, seed 9), features,
 evaluate (no2, 2 outer folds) and proxy-report on the out-of-fold
-predictions. A change that must keep every output byte-identical keeps
-these digests; one that changes an output on purpose updates them."""
+predictions, and features again without the grid sidecars. A change that
+must keep every output byte-identical keeps these digests; one that
+changes an output on purpose updates them."""
 
 import hashlib
 
@@ -50,5 +51,14 @@ def test_seeded_run_writes_the_pinned_bytes(tmp_path):
                   for p in scenes.glob("*/labels.csv")) == sorted(
         name.removeprefix("scenes/") for name in DIGESTS
         if name.startswith("scenes/"))
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DIGESTS} == DIGESTS
+    # features parses every grid when synth's grid sidecars are gone
+    grid_sidecars = sorted(scenes.glob("*/grid.csv.npz"))
+    assert len(grid_sidecars) == 5
+    for grid_sidecar in grid_sidecars:
+        grid_sidecar.unlink()
+    dataset.unlink()
+    run("features", "--scenes-dir", scenes, "--dataset-file", dataset)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in DIGESTS} == DIGESTS

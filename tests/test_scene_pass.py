@@ -9,8 +9,10 @@ import pytest
 
 from shipplume import parallel
 from shipplume.cli import main
-from shipplume.dataset import assemble, dataset_to_csv, parse_labels_csv
-from shipplume.pipeline import PipelineParams, read_manifest, scene_images
+from shipplume.dataset import (assemble, dataset_header, dataset_to_csv,
+                               parse_labels_csv)
+from shipplume.pipeline import (PipelineParams, build_dataset_from_scenes,
+                                read_manifest, scene_images)
 from shipplume.synth import SceneConfig, generate_scene, scene_to_inputs
 
 from conftest import assert_no_child
@@ -45,19 +47,27 @@ def one_assemble(scenes):
 
 def outputs(scenes, out, monkeypatch, capsys):
     """{workers: (stdout, stderr and bytes of every output file)} of
-    features and sectors on the corpus."""
+    features and sectors on the corpus, the same on a copy of the corpus
+    without its grid sidecars, where they write none."""
+    assert len(list(scenes.glob("scene_*/grid.csv.npz"))) == len(
+        list(scenes.glob("scene_*/grid.csv")))
+    bare = out / "bare"
+    shutil.copytree(scenes, bare,
+                    ignore=shutil.ignore_patterns("grid.csv.npz"))
     seen = {}
-    for n in WORKERS:
+    for corpus, n in [(c, n) for c in (scenes, bare) for n in WORKERS]:
         monkeypatch.setattr(parallel, "_cpu_count", lambda: n)
         files = [out / f"{n}.csv", out / f"{n}.csv.npz", out / f"{n}.geojson"]
-        assert main(["features", "--scenes-dir", str(scenes),
+        assert main(["features", "--scenes-dir", str(corpus),
                      "--dataset-file", str(files[0])]) == 0
-        assert main(["sectors", "--scenes-dir", str(scenes),
+        assert main(["sectors", "--scenes-dir", str(corpus),
                      "--sectors-file", str(files[2])]) == 0
         assert_no_child()
         std = capsys.readouterr()
-        seen[n] = (std.out.replace(f"{out}/{n}.", "OUT."), std.err,
-                   *(path.read_bytes() for path in files))
+        got = (std.out.replace(f"{out}/{n}.", "OUT."), std.err,
+               *(path.read_bytes() for path in files))
+        assert seen.setdefault(n, got) == got
+    assert not any(bare.glob("scene_*/*.npz"))
     return seen
 
 
@@ -67,6 +77,20 @@ def test_same_files_at_every_worker_count(corpora, tmp_path, monkeypatch,
     seen = outputs(corpora / str(seed), tmp_path, monkeypatch, capsys)
     assert seen[1] == seen[2] == seen[3]
     assert seen[1][2].decode() == one_assemble(corpora / str(seed))
+
+
+@pytest.mark.parametrize("n", WORKERS)
+def test_blocks_are_the_dataset_csv(corpora, monkeypatch, n):
+    """With csv, the scene jobs' blocks under the header are dataset_to_csv
+    of the dataset; without, the same dataset and counts come back alone."""
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: n)
+    manifest = corpora / "42" / "scenes.csv"
+    ds, counts, blocks = build_dataset_from_scenes(manifest, PipelineParams(),
+                                                   csv=True)
+    assert (dataset_header() + "\n").encode() + b"".join(blocks) == (
+        dataset_to_csv(ds).encode())
+    plain, plain_counts = build_dataset_from_scenes(manifest, PipelineParams())
+    assert (dataset_to_csv(plain), plain_counts) == (dataset_to_csv(ds), counts)
 
 
 def edit_rows(path, change, first_only=False):
