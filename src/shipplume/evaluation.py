@@ -258,6 +258,8 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
             and len(uniq) - max(map(len, outer)) < n_inner):
         raise ValueError("group count < fold count")
 
+    if family == "logistic":  # its fits' scipy, imported once before the fork
+        import scipy.special
     fold = partial(_outer_fold, (family, ds.X, y, ds.moran_high, table,
                                  outer, n_inner, n_candidates, seed,
                                  base_params))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import FEATURE_BASE
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, _check_rules,
@@ -168,6 +167,24 @@ def fit_threshold_values(values: np.ndarray, y: np.ndarray) -> float:
 N_CONTINUOUS = len(FEATURE_BASE)
 
 
+def expit(x, out=None):
+    """scipy.special.expit without importing scipy, bit for bit: 1/(1 +
+    exp(-x)) with the C library's exp. numpy's float exp is its own SIMD code
+    and differs from it in the last bit; its complex exp is the C library's
+    cexp, which on the real line is exp but for a scaled path where exp(-x)
+    nears overflow, and drops a NaN's sign."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.where(np.isnan(x), -x,
+                     np.exp(np.negative(x, dtype=complex)).real)
+        for i in np.flatnonzero((x > -710.0) & (x < -709.0)).tolist():
+            try:
+                e.flat[i] = math.exp(-x.flat[i])
+            except OverflowError:
+                e.flat[i] = math.inf
+        return np.divide(1.0, np.add(e, 1.0, out=e), out=out)
+
+
 def standardize_fit(X: np.ndarray, n_continuous: int = N_CONTINUOUS,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Mean/std of the continuous columns; one-hot columns pass through
@@ -202,7 +219,10 @@ def fit_logistic_path(X: np.ndarray, y: np.ndarray, param_sets: list[dict],
                       n_continuous: int = N_CONTINUOUS) -> list[LogisticModel]:
     """fit_family("logistic", ...) for parameter sets that differ only in
     max_iter, from one descent run to the largest; a descent that converges
-    early gives its last model to every later max_iter."""
+    early gives its last model to every later max_iter. Its many small expit
+    calls take scipy's ufunc, which costs half of models.expit per call and
+    gives the same bits."""
+    from scipy.special import expit as scipy_expit  # only this fit needs scipy
     ps = [check_params("logistic", p) for p in param_sets]
     l2, lr, stops = ps[0]["l2"], ps[0]["lr"], [p["max_iter"] for p in ps]
     X = np.asarray(X, dtype=float)
@@ -218,7 +238,7 @@ def fit_logistic_path(X: np.ndarray, y: np.ndarray, param_sets: list[dict],
     held = {}  # max_iter -> (weights, bias) after that many steps
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, max(stops) + 1):
-            expit(np.add(np.matmul(Xs, w, out=p), b, out=p), out=p)
+            scipy_expit(np.add(np.matmul(Xs, w, out=p), b, out=p), out=p)
             gw, gb = _gradient(p, w, Xs, y, sw, l2)
             # The clipped cross-entropy is bounded, so the loss is non-finite
             # exactly when p holds a NaN (then so does gb) or l2*w.w is.

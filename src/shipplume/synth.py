@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
-from scipy.special import erf
 
 from .dataset import labels_to_csv, pixel_table
 from .fileio import write_atomic
@@ -104,6 +102,7 @@ def _deposit_puff(out: np.ndarray, spec: GridSpec, lat_ref: float,
                   lon_ref: float, plat: float, plon: float, sigma_m: float,
                   mass: float) -> None:
     """Add a cell-integrated 2-D Gaussian to the raster (separable erf form)."""
+    from scipy.special import erf  # imported here: only synth needs it
     coslat = math.cos(math.radians(lat_ref))
     px = (plon - lon_ref) * M_PER_DEG_LAT * coslat
     py = (plat - lat_ref) * M_PER_DEG_LAT
@@ -183,6 +182,7 @@ def generate_scene(config: SceneConfig) -> Scene:
     if config.noise_std > 0:
         noise = rng.standard_normal(shape)
         if config.noise_corr_cells > 0:
+            from scipy.ndimage import gaussian_filter
             noise = gaussian_filter(noise, config.noise_corr_cells)
         sd = float(noise.std())
         if sd > 0:
@@ -320,6 +320,10 @@ def generate_corpus(out_dir: str | Path, n_scenes: int,
     out_dir = Path(out_dir)
     epochs = [start_epoch + s * 86400.0 for s in range(n_scenes)]
     dirs = [f"scene_{s:03d}" for s in range(n_scenes)]
+    # generate_scene's scipy modules, imported once before the workers fork
+    import scipy.special
+    if SceneConfig(**(scene_kwargs or {})).noise_corr_cells > 0:
+        import scipy.ndimage
 
     def write_scene(s: int) -> int:
         scene = generate_scene(SceneConfig(
