@@ -170,9 +170,12 @@ N_CONTINUOUS = len(FEATURE_BASE)
 def expit(x, out=None):
     """scipy.special.expit without importing scipy, bit for bit: 1/(1 +
     exp(-x)) with the C library's exp. numpy's float exp is its own SIMD code
-    and differs from it in the last bit; its complex exp is the C library's
-    cexp, which on the real line is exp but for a scaled path where exp(-x)
-    nears overflow, and drops a NaN's sign."""
+    and differs from it in the last bit; its complex exp calls glibc's cexp,
+    which on the real line is exp, but drops a NaN's sign and, above
+    1023*ln2 (about 709.09), takes a scaled path that can be an ulp off:
+    hence math.exp in -710 < x < -709. Exactness assumes glibc and a numpy
+    whose complex exp calls the C library's cexp; tests/test_expit_oracle.py
+    fails if a libc or numpy change breaks either."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.where(np.isnan(x), -x,

@@ -320,10 +320,7 @@ def generate_corpus(out_dir: str | Path, n_scenes: int,
     out_dir = Path(out_dir)
     epochs = [start_epoch + s * 86400.0 for s in range(n_scenes)]
     dirs = [f"scene_{s:03d}" for s in range(n_scenes)]
-    # generate_scene's scipy modules, imported once before the workers fork
-    import scipy.special
-    if SceneConfig(**(scene_kwargs or {})).noise_corr_cells > 0:
-        import scipy.ndimage
+    import scipy.special  # generate_scene's erf, imported once before the fork
 
     def write_scene(s: int) -> int:
         scene = generate_scene(SceneConfig(
