@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -162,68 +161,20 @@ def _rows_of(groups: list[str], table: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([table[g] for g in groups])
 
 
-def _search_scores(family: str, X, y, aux, candidates: list[dict], seed,
-                   inner_splits: list[tuple]) -> list[float]:
-    """Mean inner-fold AP of every candidate, -1 if no fold has validation
-    positives and a two-class fit part. On each split, logistic candidates
-    that differ only in max_iter share one descent, duplicates one fit."""
-    groups: dict[tuple, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        key = {**cand, "max_iter": 0} if family == "logistic" else cand
-        groups.setdefault(tuple(sorted(key.items())), []).append(i)
-    aps: list[list[float]] = [[] for _ in candidates]
-    for tr, va in inner_splits:
-        if va.size == 0 or y[va].sum() == 0 or y[tr].min() == y[tr].max():
-            continue
-        for members in groups.values():
-            sets = [candidates[i] for i in members]
-            if family == "logistic":
-                fits = fit_logistic_path(X[tr], y[tr], sets)
-            else:
-                fits = [fit_family(family, X[tr], y[tr], aux[tr], sets[0],
-                                   seed)] * len(sets)
-            for i, model in zip(members, fits):
-                aps[i].append(average_precision(
-                    y[va], predict_scores(model, X[va], aux[va])))
-    return [float(np.mean(s)) if s else -1.0 for s in aps]
-
-
-def _outer_fold(job: tuple, k: int) -> tuple[FoldResult, tuple, list[dict]]:
-    """Outer fold k of the nested_cv with the given arguments: its result,
-    its (test rows, scores, predictions) and its split records."""
-    family, X, y, aux, table, outer, n_inner, n_candidates, seed, base = job
-    train_groups = [g for j, fold in enumerate(outer) if j != k for g in fold]
-    tr = _rows_of(train_groups, table)
-    te = _rows_of(outer[k], table)
-    if not (y[te] == 1).any():
-        raise ValueError(f"outer fold {k} has no positive labels")
-    splits = [{"kind": "outer", "fold": k, "train_groups": train_groups,
-               "test_groups": outer[k]}]
-
-    params: dict = dict(base or {})
-    if family in DEFAULT_SPACES and n_candidates > 1:
-        frng = np.random.default_rng([seed, k])
-        candidates = [sample_params(DEFAULT_SPACES[family], frng)
-                      for _ in range(n_candidates)]
-        inner = _deal(train_groups, n_inner, frng)
-        inner_splits = []
-        for j, val_groups in enumerate(inner):
-            fit_groups = [g for m, fold in enumerate(inner) if m != j
-                          for g in fold]
-            inner_splits.append((_rows_of(fit_groups, table),
-                                 _rows_of(val_groups, table)))
-            splits.append({"kind": "inner", "fold": k, "inner_fold": j,
-                           "train_groups": fit_groups,
-                           "test_groups": val_groups})
-        merged = [{**params, **c} for c in candidates]
-        scores = _search_scores(family, X, y, aux, merged, seed, inner_splits)
-        params.update(candidates[scores.index(max(scores))])  # first best
-
-    model = fit_family(family, X[tr], y[tr], aux[tr], params, seed)
-    s = predict_scores(model, X[te], aux[te])
-    p = predict_labels(model, s)
-    m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
-    return FoldResult(fold=k, params=params, metrics=m), (te, s, p), splits
+def _fit_job(family: str, X, y, aux, seed, tr, te, sets, final):
+    """One fit of the nested_cv plan on rows tr, scored on rows te: of an
+    inner job, the AP of each parameter set (logistic sets share a descent,
+    other sets are equal and share a fit); of a final job, its one set's
+    scores and binary predictions."""
+    if final:
+        model = fit_family(family, X[tr], y[tr], aux[tr], sets[0], seed)
+        s = predict_scores(model, X[te], aux[te])
+        return s, predict_labels(model, s)
+    fits = (fit_logistic_path(X[tr], y[tr], sets) if family == "logistic"
+            else [fit_family(family, X[tr], y[tr], aux[tr], sets[0], seed)]
+            * len(sets))
+    return [average_precision(y[te], predict_scores(m, X[te], aux[te]))
+            for m in fits]
 
 
 def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
@@ -237,8 +188,9 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     threshold baselines (no search space), the inner loop is skipped and the
     evaluation is plain group k-fold CV.
 
-    The outer folds run through parallel.fork_map, but for the threshold
-    baselines, whose fits cost less than a fork, all in the caller.
+    Every fit is a job of one plan, run through parallel.fork_map: the inner
+    fits of every fold, then the final fits, which the threshold baselines
+    (their fits cost less than a fork) run in the caller.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown model family: {family}")
@@ -254,30 +206,77 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     if len(uniq) < n_outer:
         raise ValueError("group count < fold count")
     outer = _deal(uniq, n_outer, np.random.default_rng(seed))
-    if (family in DEFAULT_SPACES and n_candidates > 1
-            and len(uniq) - max(map(len, outer)) < n_inner):
+    search = family in DEFAULT_SPACES and n_candidates > 1
+    if search and len(uniq) - max(map(len, outer)) < n_inner:
         raise ValueError("group count < fold count")
+
+    splits, folds, plan, fills = [], [], [], []  # fills[i]: plan[i]'s AP lists
+    for k, test_groups in enumerate(outer):
+        train_groups = [g for j, fold in enumerate(outer) if j != k
+                        for g in fold]
+        te = _rows_of(test_groups, table)
+        if not (y[te] == 1).any():
+            raise ValueError(f"outer fold {k} has no positive labels")
+        splits.append({"kind": "outer", "fold": k,
+                       "train_groups": train_groups, "test_groups": test_groups})
+        candidates, inner = [dict(base_params or {})], []
+        if search:
+            frng = np.random.default_rng([seed, k])
+            candidates = [{**candidates[0],
+                           **sample_params(DEFAULT_SPACES[family], frng)}
+                          for _ in range(n_candidates)]
+            inner = _deal(train_groups, n_inner, frng)
+        groups: dict[tuple, list[int]] = {}
+        for i, cand in enumerate(candidates):
+            key = {**cand, "max_iter": 0} if family == "logistic" else cand
+            groups.setdefault(tuple(sorted(key.items())), []).append(i)
+        aps = [[] for _ in candidates]  # each candidate's, in split order
+        folds.append((_rows_of(train_groups, table), te, candidates, aps))
+        for j, val_groups in enumerate(inner):
+            fit_groups = [g for m, fold in enumerate(inner) if m != j
+                          for g in fold]
+            splits.append({"kind": "inner", "fold": k, "inner_fold": j,
+                           "train_groups": fit_groups, "test_groups": val_groups})
+            fit_tr, va = _rows_of(fit_groups, table), _rows_of(val_groups, table)
+            if y[va].any() and y[fit_tr].min() < y[fit_tr].max():
+                for members in groups.values():
+                    plan.append((fit_tr, va, [candidates[i] for i in members],
+                                 False))
+                    fills.append([aps[i] for i in members])
+
+    data = (family, ds.X, y, ds.moran_high, seed)
+
+    def run(jobs: list) -> list:
+        if family not in DEFAULT_SPACES:
+            return [_fit_job(*data, *job) for job in jobs]
+        return fork_map(lambda i: _fit_job(*data, *jobs[i]), len(jobs))
 
     if family == "logistic":  # its fits' scipy, imported once before the fork
         import scipy.special
-    fold = partial(_outer_fold, (family, ds.X, y, ds.moran_high, table,
-                                 outer, n_inner, n_candidates, seed,
-                                 base_params))
-    results = (fork_map(fold, n_outer) if family in DEFAULT_SPACES
-               else [fold(k) for k in range(n_outer)])
-    folds, pooled, splits = zip(*results)
-
+    for lists, got in zip(fills, run(plan)):
+        for into, ap in zip(lists, got):
+            into.append(ap)
+    finals = []
+    for tr, te, candidates, aps in folds:
+        means = [float(np.mean(a)) if a else -1.0 for a in aps]
+        finals.append((tr, te, [candidates[means.index(max(means))]], True))
+    pooled = run(finals)  # the first best candidate of each fold, fitted
+    results = []
+    for k, ((_, te, sets, _), (s, p)) in enumerate(zip(finals, pooled)):
+        m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
+        results.append(FoldResult(fold=k, params=sets[0], metrics=m))
     summary = {}
     for name in ("precision", "recall", "f1", "ap"):
-        vals = np.array([getattr(f.metrics, name) for f in folds])
+        vals = np.array([getattr(f.metrics, name) for f in results])
         summary[name] = (float(vals.mean()), float(vals.std()))
-    oof_index, oof_score, oof_pred = (np.concatenate(a) for a in zip(*pooled))
+    oof_index = np.concatenate([job[1] for job in finals])
+    oof_score, oof_pred = (np.concatenate(a) for a in zip(*pooled))
     return CVReport(family=family, n_outer=n_outer, n_inner=n_inner,
-                    n_candidates=n_candidates, seed=seed, folds=list(folds),
+                    n_candidates=n_candidates, seed=seed, folds=results,
                     summary=summary,
                     pr_points=pr_curve(y[oof_index], oof_score),
                     oof_index=oof_index, oof_score=oof_score,
-                    oof_pred=oof_pred, splits=[s for f in splits for s in f])
+                    oof_pred=oof_pred, splits=splits)
 
 
 # --- per-ship emission comparison -------------------------------------------

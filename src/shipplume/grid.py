@@ -19,14 +19,10 @@ M_PER_DEG_LAT = 111320.0  # meters per degree of latitude
 CSV_BLOCK_ROWS = 512   # rows table_to_csv formats at a time
 
 
-def fmt_float(x: float) -> str:
-    """Shortest decimal form that parses back to the same float."""
-    return repr(float(x))
-
-
 def fmt_floats(a: np.ndarray) -> list[str]:
-    """fmt_float (the repr of a Python float) of every entry of a 1-D float
-    array, once per distinct bit pattern: bits keep -0.0 apart from 0.0."""
+    """The repr of a Python float, the shortest decimal form that parses back
+    to the same float, of every entry of a 1-D float array, once per distinct
+    bit pattern: bits keep -0.0 apart from 0.0."""
     bits, at = np.unique(np.asarray(a, dtype=float).view(np.int64),
                          return_inverse=True)
     return np.array([repr(x) for x in bits.view(float).tolist()],
@@ -211,18 +207,15 @@ def _parse_rows(text: str, header: str, kind: str, convert) -> list:
 def grid_to_csv(image: GridImage) -> str:
     """Serialize to grid-csv: '#key=value' header lines, then one comma-joined
     row of values per grid row; invalid cells are written as nan."""
-    spec = image.spec
-    lines = [
-        f"#lat_min={fmt_float(spec.lat_min)}",
-        f"#lon_min={fmt_float(spec.lon_min)}",
-        f"#cell_size={fmt_float(spec.cell_size)}",
-        f"#n_rows={spec.n_rows}",
-        f"#n_cols={spec.n_cols}",
-    ]
-    vals = np.where(image.valid, image.values, np.nan)
-    for r in range(spec.n_rows):
-        lines.append(",".join(fmt_float(v) for v in vals[r]))
-    return "\n".join(lines) + "\n"
+    spec, n = image.spec, image.spec.n_cols
+    cells = fmt_floats(np.concatenate([
+        [spec.lat_min, spec.lon_min, spec.cell_size],
+        np.where(image.valid, image.values, np.nan).ravel()]))
+    lines = [f"#{key}={cell}" for key, cell in
+             zip(("lat_min", "lon_min", "cell_size"), cells)]
+    lines += [f"#n_rows={spec.n_rows}", f"#n_cols={n}"]
+    lines += [",".join(cells[i:i + n]) for i in range(3, len(cells), n)]
+    return "\n".join([*lines, ""])
 
 
 def parse_grid_csv(text: str) -> GridImage:
@@ -297,8 +290,8 @@ def read_grid(path: str | Path, parse=parse_grid_csv) -> GridImage:
 
 def table_to_csv(columns: dict[str, np.ndarray]) -> str:
     """CSV of a table given as {name: 1-D array}: the names as the header,
-    then one line per row; a float column in fmt_float form, any other
-    column by str. A block of rows at a time, fmt_floats formats each
+    then one line per row; a float column by the repr of each value, any
+    other column by str. A block of rows at a time, fmt_floats formats each
     distinct value of a column once, and most repeat."""
     lines = [",".join(columns)]
     for start in range(0, len(next(iter(columns.values()))), CSV_BLOCK_ROWS):

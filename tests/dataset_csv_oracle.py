@@ -17,7 +17,11 @@ import numpy as np
 
 from shipplume.dataset import (_LABEL_TOKENS, FEATURE_BASE, LabeledDataset,
                                dataset_header)
-from shipplume.grid import fmt_float
+
+
+def fmt_float(x: float) -> str:
+    """Shortest decimal form that parses back to the same float."""
+    return repr(float(x))
 
 
 def dataset_to_csv(ds: LabeledDataset) -> str:

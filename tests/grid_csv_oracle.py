@@ -1,5 +1,10 @@
-"""Reference grid-csv parser: every body line converted token by token with
-``float`` as it is read.
+"""Reference grid-csv codec: the writer that formats every value with its
+own ``repr`` call, and the parser that converts every body line token by
+token with ``float`` as it is read.
+
+``grid.grid_to_csv`` formats the header floats and the raster in one
+``fmt_floats`` call, once per distinct value; it must write the same text as
+the reference writer.
 
 ``grid.parse_grid_csv`` casts the whole body in one ``np.array(..., dtype=
 float)`` call and falls back to the per-line pass only to name the line of a
@@ -49,3 +54,18 @@ def parse_grid_csv(text: str) -> GridImage:
         raise ValueError(f"grid-csv line {row_lines[inf_rows[0]]}: "
                          "infinite value")
     return GridImage(spec, values, ~np.isnan(values))
+
+
+def grid_to_csv(image: GridImage) -> str:
+    spec = image.spec
+    lines = [
+        f"#lat_min={repr(float(spec.lat_min))}",
+        f"#lon_min={repr(float(spec.lon_min))}",
+        f"#cell_size={repr(float(spec.cell_size))}",
+        f"#n_rows={spec.n_rows}",
+        f"#n_cols={spec.n_cols}",
+    ]
+    vals = np.where(image.valid, image.values, np.nan)
+    for r in range(spec.n_rows):
+        lines.append(",".join(repr(float(v)) for v in vals[r]))
+    return "\n".join(lines) + "\n"

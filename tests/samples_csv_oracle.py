@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shipplume.grid import SAMPLES_HEADER, fmt_float
+from shipplume.grid import SAMPLES_HEADER
 from shipplume.tracks import AIS_HEADER, REGISTRY_HEADER, WIND_HEADER
+
+
+def fmt_float(x: float) -> str:
+    """Shortest decimal form that parses back to the same float."""
+    return repr(float(x))
 
 
 def samples_to_csv(samples: np.ndarray) -> str:

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from shipplume.dataset import LABELS_HEADER, LabeledDataset
 from shipplume.evaluation import OOF_HEADER, CVReport, ShipTable, _sweep
-from shipplume.grid import fmt_float
 from shipplume.pipeline import MANIFEST_HEADER
+
+
+def fmt_float(x: float) -> str:
+    """Shortest decimal form that parses back to the same float."""
+    return repr(float(x))
 
 
 def labels_to_csv(labels: dict[tuple[str, int, int], int]) -> str:

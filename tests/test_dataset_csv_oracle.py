@@ -15,7 +15,7 @@ from shipplume.dataset import (FEATURE_BASE, LabeledDataset,
                                csv_blocks, dataset_to_csv, parse_dataset_csv,
                                read_dataset, write_dataset)
 from shipplume.fileio import write_atomic
-from shipplume.grid import fmt_float, fmt_floats
+from shipplume.grid import fmt_floats
 
 from conftest import columns_dataset
 
@@ -43,7 +43,7 @@ def test_fmt_floats_equals_fmt_float(seed, n, strided):
     a = np.concatenate([a, a[::3]])   # some values repeat
     if strided:   # as dataset_to_csv passes the columns of a row block
         a = np.repeat(a, 2)[::2]
-    assert fmt_floats(a) == [fmt_float(x) for x in a.tolist()]
+    assert fmt_floats(a) == [oracle.fmt_float(x) for x in a.tolist()]
 
 
 @st.composite

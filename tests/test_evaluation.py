@@ -197,13 +197,16 @@ class TestNestedCv:
     def test_inner_fold_count_checked_before_any_fold(self, rng,
                                                       monkeypatch):
         ds = grouped_dataset(rng, n_groups=6)
-        started = []
-        monkeypatch.setattr(evaluation, "_outer_fold", started.append)
+        fits = []
+        monkeypatch.setattr(evaluation, "fit_family",
+                            lambda *args: fits.append("fit_family"))
+        monkeypatch.setattr(evaluation, "fit_logistic_path",
+                            lambda *args: fits.append("fit_logistic_path"))
         # each outer training set has 3 groups, fewer than 5 inner folds
         with pytest.raises(ValueError) as exc:
             nested_cv(ds, "logistic", n_outer=2, n_inner=5, n_candidates=3)
         assert str(exc.value) == "group count < fold count"
-        assert started == []
+        assert fits == []
         monkeypatch.undo()
         # without a search the inner fold count is not used
         nested_cv(ds, "logistic", n_outer=2, n_inner=5, n_candidates=1,
@@ -281,6 +284,39 @@ class TestNestedCv:
             assert_no_child()
             if n_cpus == 1:  # no fold after the first failing one runs
                 assert fitted == list(range(first + 1))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_inner_failure_raised_before_earlier_final_fit(
+            self, rng, monkeypatch, n_cpus):
+        ds = grouped_dataset(rng, n_groups=9)
+        kwargs = dict(n_outer=3, n_inner=3, n_candidates=3, seed=1,
+                      base_params={"max_iter": 20})
+        fold_of = {}  # the sorted first feature of a fit's rows -> its split
+        for split in nested_cv(ds, "logistic", **kwargs).splits:
+            rows = np.isin(ds.group_ids, split["train_groups"])
+            fold_of[np.sort(ds.X[rows, 0]).tobytes()] = (split["kind"],
+                                                         split["fold"])
+        real_fit = evaluation.fit_family
+        real_path = evaluation.fit_logistic_path
+
+        def failing(real, x_at, split, message):
+            def fit(*args):  # the fit's rows are args[x_at]
+                if fold_of[np.sort(args[x_at][:, 0]).tobytes()] == split:
+                    raise ValueError(message)
+                return real(*args)
+            return fit
+
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: n_cpus)
+        monkeypatch.setattr(evaluation, "fit_family", failing(
+            real_fit, 1, ("outer", 0), "final fit of fold 0 failed"))
+        with pytest.raises(ValueError, match="^final fit of fold 0 failed$"):
+            nested_cv(ds, "logistic", **kwargs)
+        # every inner job comes before every final fit in the plan
+        monkeypatch.setattr(evaluation, "fit_logistic_path", failing(
+            real_path, 0, ("inner", 1), "inner fit of fold 1 failed"))
+        with pytest.raises(ValueError, match="^inner fit of fold 1 failed$"):
+            nested_cv(ds, "logistic", **kwargs)
+        assert_no_child()
 
     def test_folds_balanced_by_group_count(self, rng):
         ds = grouped_dataset(rng, n_groups=13)

@@ -1,6 +1,9 @@
 """grid.parse_grid_csv, which casts the body in one call, against the
 reference parser that converts token by token: the same raster, bit for bit,
-or the same error, on generated and mutated grid-csv files."""
+or the same error, on generated and mutated grid-csv files; and
+grid.grid_to_csv against the reference writer that formats value by value."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +31,9 @@ def outcome(parse, text):
 
 
 @st.composite
-def grid_texts(draw):
-    """The lines of a grid-csv file of 1-6 x 1-6 cells with nan, -0.0,
-    subnormal and random values."""
+def grid_images(draw):
+    """A grid of 1-6 x 1-6 cells with nan, -0.0, subnormal and random
+    values."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     values = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(
@@ -40,7 +43,12 @@ def grid_texts(draw):
     valid = rng.random((n_rows, n_cols)) >= 0.2
     spec = GridSpec(lat_min=31.5, lon_min=19.5, cell_size=0.045,
                     n_rows=n_rows, n_cols=n_cols)
-    return grid_to_csv(GridImage(spec, values, valid)).splitlines()
+    return GridImage(spec, values, valid)
+
+
+def grid_texts():
+    """The lines of the grid-csv file of a grid_images grid."""
+    return grid_images().map(lambda image: grid_to_csv(image).splitlines())
 
 
 def set_token(lines, row, col, token):
@@ -60,6 +68,15 @@ def assert_same(lines):
     text = "\n".join(lines) + "\n"
     assert outcome(parse_grid_csv, text) == outcome(oracle.parse_grid_csv,
                                                     text)
+
+
+@given(grid_images(), st.sampled_from(SPECIAL), st.sampled_from(SPECIAL),
+       st.sampled_from([v for v in SPECIAL if v > 0]))
+@settings(max_examples=100, deadline=1000, derandomize=True)
+def test_writer_same_text(image, lat_min, lon_min, cell_size):
+    image = GridImage(replace(image.spec, lat_min=lat_min, lon_min=lon_min,
+                              cell_size=cell_size), image.values, image.valid)
+    assert grid_to_csv(image) == oracle.grid_to_csv(image)
 
 
 @given(grid_texts())

@@ -1,12 +1,14 @@
 """The loss-free descent of ``models.fit_logistic_path`` against the
-loss-computing reference loop in ``logistic_oracle``, and the split-major
-inner search of ``evaluation.nested_cv`` against a candidate-major one, with
-its outer folds run in one process or shared with forked workers."""
+loss-computing reference loop in ``logistic_oracle``, and the fit plan of
+``evaluation.nested_cv`` against the per-fold reference in
+``nested_cv_oracle`` with a candidate-major search, with the plan's jobs run
+in one process or shared with forked workers."""
 
 import numpy as np
 import pytest
 
 import logistic_oracle as oracle
+import nested_cv_oracle as cv_oracle
 from shipplume import evaluation, models, parallel
 from shipplume.evaluation import (average_precision, nested_cv, oof_to_csv,
                                   report_to_json)
@@ -163,6 +165,12 @@ def test_search_equals_candidate_major_reference(monkeypatch, family, base):
                   base_params=base)
     if family == "gbt":
         kwargs["n_candidates"] = 3
+    with monkeypatch.context() as m:
+        m.setattr(cv_oracle, "_search_scores", reference_scores)
+        m.setattr(cv_oracle, "fit_family", reference_fit)
+        expected = texts(ds, cv_oracle.nested_cv(ds, family, **kwargs))
+    # the reference's own split-major search gives the same bytes
+    assert texts(ds, cv_oracle.nested_cv(ds, family, **kwargs)) == expected
     descents = []
     real_path = evaluation.fit_logistic_path
 
@@ -174,13 +182,8 @@ def test_search_equals_candidate_major_reference(monkeypatch, family, base):
         m.setattr(evaluation, "fit_logistic_path", spy)
         # in the calling process only, where the spy sees every descent
         m.setattr(parallel, "_cpu_count", lambda: 1)
-        got = texts(ds, nested_cv(ds, family, **kwargs))
-    with monkeypatch.context() as m:
-        m.setattr(evaluation, "_search_scores", reference_scores)
-        m.setattr(evaluation, "fit_family", reference_fit)
-        expected = texts(ds, nested_cv(ds, family, **kwargs))
-    assert got == expected
-    for n_cpus in (2, 3):  # the folds split between the caller and workers
+        assert texts(ds, nested_cv(ds, family, **kwargs)) == expected
+    for n_cpus in (2, 3):  # the plan's jobs split between caller and workers
         monkeypatch.setattr(parallel, "_cpu_count", lambda: n_cpus)
         assert texts(ds, nested_cv(ds, family, **kwargs)) == expected
     if family == "logistic":
