@@ -16,7 +16,7 @@ from .dataset import LabeledDataset, parse_pixel_csv
 from .grid import _finite, table_to_csv
 from .models import (DEFAULT_SPACES, FAMILY_NAMES, check_params, fit_family,
                      fit_logistic_path, predict_labels, predict_scores,
-                     sample_params)
+                     sample_params, special_ufunc)
 from .parallel import fork_map
 
 
@@ -161,11 +161,12 @@ def _rows_of(groups: list[str], table: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([table[g] for g in groups])
 
 
-def _fit_job(family: str, X, y, aux, seed, tr, te, sets, final):
-    """One fit of the nested_cv plan on rows tr, scored on rows te: of an
-    inner job, the AP of each parameter set (logistic sets share a descent,
-    other sets are equal and share a fit); of a final job, its one set's
-    scores and binary predictions."""
+def _fit_job(family: str, X, y, aux, seed, table, tr, te, sets, final):
+    """One fit of the nested_cv plan on the rows of groups tr, scored on those
+    of groups te: of an inner job, the AP of each parameter set (logistic sets
+    share a descent, other sets are equal and share a fit); of a final job,
+    its one set's scores and binary predictions."""
+    tr, te = _rows_of(tr, table), _rows_of(te, table)
     if final:
         model = fit_family(family, X[tr], y[tr], aux[tr], sets[0], seed)
         s = predict_scores(model, X[te], aux[te])
@@ -214,8 +215,7 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
     for k, test_groups in enumerate(outer):
         train_groups = [g for j, fold in enumerate(outer) if j != k
                         for g in fold]
-        te = _rows_of(test_groups, table)
-        if not (y[te] == 1).any():
+        if not (y[_rows_of(test_groups, table)] == 1).any():
             raise ValueError(f"outer fold {k} has no positive labels")
         splits.append({"kind": "outer", "fold": k,
                        "train_groups": train_groups, "test_groups": test_groups})
@@ -231,28 +231,28 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
             key = {**cand, "max_iter": 0} if family == "logistic" else cand
             groups.setdefault(tuple(sorted(key.items())), []).append(i)
         aps = [[] for _ in candidates]  # each candidate's, in split order
-        folds.append((_rows_of(train_groups, table), te, candidates, aps))
+        folds.append((train_groups, test_groups, candidates, aps))
         for j, val_groups in enumerate(inner):
             fit_groups = [g for m, fold in enumerate(inner) if m != j
                           for g in fold]
             splits.append({"kind": "inner", "fold": k, "inner_fold": j,
                            "train_groups": fit_groups, "test_groups": val_groups})
-            fit_tr, va = _rows_of(fit_groups, table), _rows_of(val_groups, table)
-            if y[va].any() and y[fit_tr].min() < y[fit_tr].max():
+            fit_y = y[_rows_of(fit_groups, table)]  # jobs get groups
+            if y[_rows_of(val_groups, table)].any() and np.ptp(fit_y) > 0:
                 for members in groups.values():
-                    plan.append((fit_tr, va, [candidates[i] for i in members],
-                                 False))
+                    plan.append((fit_groups, val_groups,
+                                 [candidates[i] for i in members], False))
                     fills.append([aps[i] for i in members])
 
-    data = (family, ds.X, y, ds.moran_high, seed)
+    data = (family, ds.X, y, ds.moran_high, seed, table)
 
     def run(jobs: list) -> list:
         if family not in DEFAULT_SPACES:
             return [_fit_job(*data, *job) for job in jobs]
         return fork_map(lambda i: _fit_job(*data, *jobs[i]), len(jobs))
 
-    if family == "logistic":  # its fits' scipy, imported once before the fork
-        import scipy.special
+    if family == "logistic":  # its fits' expit, loaded once before the fork
+        special_ufunc("expit")
     for lists, got in zip(fills, run(plan)):
         for into, ap in zip(lists, got):
             into.append(ap)
@@ -261,15 +261,15 @@ def nested_cv(ds: LabeledDataset, family: str, n_outer: int = 5,
         means = [float(np.mean(a)) if a else -1.0 for a in aps]
         finals.append((tr, te, [candidates[means.index(max(means))]], True))
     pooled = run(finals)  # the first best candidate of each fold, fitted
-    results = []
-    for k, ((_, te, sets, _), (s, p)) in enumerate(zip(finals, pooled)):
+    results, tes = [], [_rows_of(job[1], table) for job in finals]
+    for k, (te, (s, p)) in enumerate(zip(tes, pooled)):
         m = replace(pr_metrics(y[te], p), ap=average_precision(y[te], s))
-        results.append(FoldResult(fold=k, params=sets[0], metrics=m))
+        results.append(FoldResult(fold=k, params=finals[k][2][0], metrics=m))
     summary = {}
     for name in ("precision", "recall", "f1", "ap"):
         vals = np.array([getattr(f.metrics, name) for f in results])
         summary[name] = (float(vals.mean()), float(vals.std()))
-    oof_index = np.concatenate([job[1] for job in finals])
+    oof_index = np.concatenate(tes)
     oof_score, oof_pred = (np.concatenate(a) for a in zip(*pooled))
     return CVReport(family=family, n_outer=n_outer, n_inner=n_inner,
                     n_candidates=n_candidates, seed=seed, folds=results,

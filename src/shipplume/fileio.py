@@ -37,11 +37,12 @@ def sidecar(data: list[bytes], arrays: Callable[[], dict]) -> Callable:
 def read_with_sidecar(path: str | Path, load: Callable, parse: Callable):
     """load(arrays) of the sidecar <path>.npz if it holds the sha256 of the
     file, else parse(text); load rejects arrays by raising or returning None."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
     with suppress(Exception):   # any failure is a miss: the parse is right
         with open(f"{path}.npz", "rb") as fh:   # closed also if np.load fails
             arrays = dict(np.load(fh, allow_pickle=False))
-        if (arrays.pop("digest").item() == hashlib.sha256(data).hexdigest()
+        if (arrays.pop("digest").item() == digest
                 and (result := load(arrays)) is not None):
             return result
-    return parse(data.decode())
+    return parse(Path(path).read_bytes().decode())

@@ -24,6 +24,7 @@ from .fileio import write_atomic
 from .grid import (_COUNT, _NON_NEGATIVE, _POSITIVE, M_PER_DEG_LAT,
                    SAMPLE_DTYPE, GridImage, GridSpec, _check_rules,
                    _finite_number, table_to_csv, write_grid)
+from .models import special_ufunc
 from .parallel import fork_map
 from .pipeline import (MANIFEST_HEADER, MANIFEST_NAME, PipelineParams,
                        scene_images)
@@ -102,7 +103,7 @@ def _deposit_puff(out: np.ndarray, spec: GridSpec, lat_ref: float,
                   lon_ref: float, plat: float, plon: float, sigma_m: float,
                   mass: float) -> None:
     """Add a cell-integrated 2-D Gaussian to the raster (separable erf form)."""
-    from scipy.special import erf  # imported here: only synth needs it
+    erf = special_ufunc("erf")  # only synth needs scipy
     coslat = math.cos(math.radians(lat_ref))
     px = (plon - lon_ref) * M_PER_DEG_LAT * coslat
     py = (plat - lat_ref) * M_PER_DEG_LAT
@@ -320,7 +321,7 @@ def generate_corpus(out_dir: str | Path, n_scenes: int,
     out_dir = Path(out_dir)
     epochs = [start_epoch + s * 86400.0 for s in range(n_scenes)]
     dirs = [f"scene_{s:03d}" for s in range(n_scenes)]
-    import scipy.special  # generate_scene's erf, imported once before the fork
+    special_ufunc("erf")  # generate_scene's, loaded once before the fork
 
     def write_scene(s: int) -> int:
         scene = generate_scene(SceneConfig(

@@ -96,6 +96,20 @@ def test_hit_is_the_parse_without_parsing(featured):
     assert layout(ds) == layout(parsed)
 
 
+def test_hit_never_reads_the_text(featured):
+    """A hit hashes dataset.csv in a stream and never holds its text; a miss
+    reads it once, for the parse."""
+    def reads(path):
+        with mock.patch.object(Path, "read_bytes", autospec=True,
+                               side_effect=Path.read_bytes) as spy:
+            read_dataset(path)
+        return [call.args[0] for call in spy.call_args_list]
+
+    assert reads(featured) == []
+    sidecar(featured).unlink()
+    assert reads(featured) == [featured]
+
+
 def test_miss_parses_once(featured):
     sidecar(featured).unlink()
     ds, parses = run_counting_parses(lambda: read_dataset(featured))
